@@ -42,7 +42,6 @@ from .maps import (
     zero_point,
 )
 from .plane import (
-    Linear2System,
     PlaneLine,
     PlanePoint,
     collinear,
@@ -51,7 +50,6 @@ from .plane import (
     line_through,
     on_line,
     parallel_through,
-    solve2,
 )
 from .ratios import cross_ratio, cross_ratio_factors, no_three_equal, ratio2, ratio3
 from .scalars import (

@@ -42,12 +42,10 @@ from .errors import (
     IdenticalLinesError,
     InvalidBaseError,
     InvalidConfigurationError,
-    NoSolutionError,
     ParallelLinesError,
     PointOffBaseLineError,
     SingularArgumentError,
     SingularCrossRatioError,
-    UnderdeterminedError,
     UnsupportedBackendError,
     ZeroDenominatorPointError,
     ZeroInverseError,
@@ -93,8 +91,6 @@ _SINGULAR_ERRORS = (
     InvalidConfigurationError,
     ParallelLinesError,
     IdenticalLinesError,
-    NoSolutionError,
-    UnderdeterminedError,
 )
 
 
@@ -123,8 +119,8 @@ def load_desargues_config(path: str, field: ScalarField) -> DesarguesConfig:
     """Read the flat one-record-per-line configuration format.
 
     Lines: ``A=(x,y)`` .. ``C'=(x,y)`` and ``variant=parallel`` or
-    ``variant=concurrent P=(x,y)``.  Blank lines and ``#`` comments are
-    ignored.
+    ``variant=concurrent P=(x,y)``.  Blank lines are ignored, and ``#``
+    starts a comment that runs to the end of the line.
     """
     with open(path, "r", encoding="utf-8") as handle:
         raw_lines = handle.read().splitlines()
@@ -132,8 +128,8 @@ def load_desargues_config(path: str, field: ScalarField) -> DesarguesConfig:
     variant = None
     center = None
     for number, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()

@@ -30,14 +30,6 @@ class IdenticalLinesError(SkewPlaneError):
     """Intersection of a line with itself was requested."""
 
 
-class NoSolutionError(SkewPlaneError):
-    """The 2x2 linear system is inconsistent."""
-
-
-class UnderdeterminedError(SkewPlaneError):
-    """The 2x2 linear system has rank < 2 (a free parameter remains)."""
-
-
 class PointOffBaseLineError(SkewPlaneError):
     """A point that must lie on the distinguished line does not."""
 

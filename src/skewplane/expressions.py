@@ -197,56 +197,61 @@ class _Parser:
         raise ExpressionSyntaxError(message, self.peek().pos)
 
     # literals ------------------------------------------------------------
-    def _parse_signed_rational(self):
-        """[-] INT [/ INT] as an exact rational (quaternion components)."""
-        negative = False
+    def _int(self, token: _Token) -> int:
+        """The value of an int token; too many digits is a syntax error here."""
+        try:
+            return int(token.text)
+        except ValueError:
+            raise ExpressionSyntaxError(
+                f"integer literal of {len(token.text)} digits is too long",
+                token.pos) from None
+
+    def _parse_rational(self) -> Rational:
+        """INT [/ INT] as an exact rational."""
+        numerator = self._int(self.expect("int"))
+        if self.peek().kind != "/":
+            return Rational(numerator)
+        self.advance()
+        token = self.expect("int")
+        denominator = self._int(token)
+        if denominator == 0:
+            raise ExpressionSyntaxError("zero denominator", token.pos)
+        return Rational(numerator, denominator)
+
+    def _parse_signed(self, parse_unsigned):
+        """[-] followed by whatever ``parse_unsigned`` reads, negated on a sign."""
         if self.peek().kind == "-":
             self.advance()
-            negative = True
-        numerator = int(self.expect("int").text)
-        denominator = 1
-        if self.peek().kind == "/":
-            self.advance()
-            denominator = int(self.expect("int").text)
-        value = Rational(numerator, denominator)
-        return -value if negative else value
+            return -parse_unsigned()
+        return parse_unsigned()
 
-    def try_parse_literal(self) -> Optional[Literal]:
-        """Parse a backend literal at the cursor, or back off and return None."""
-        saved = self.index
-        try:
-            return Literal(self._parse_literal())
-        except ExpressionSyntaxError:
-            self.index = saved
-            return None
+    def _parse_signed_literal(self) -> SkewScalar:
+        """[-] literal, as scalar, point and list inputs write a value."""
+        return self._parse_signed(self._parse_literal)
 
     def _parse_literal(self) -> SkewScalar:
         field = self.field
         if isinstance(field, QuaternionField):
             self.expect("(")
-            components = [self._parse_signed_rational()]
+            components = [self._parse_signed(self._parse_rational)]
             for _ in range(3):
                 self.expect(",")
-                components.append(self._parse_signed_rational())
+                components.append(self._parse_signed(self._parse_rational))
             self.expect(")")
             return RationalQuaternion(*components)
+        if not isinstance(field, PrimeField):
+            return self._parse_rational()
         token = self.expect("int")
-        if isinstance(field, PrimeField):
-            mod = self.peek()
-            if mod.kind != "ident" or mod.text != "mod":
-                raise ExpressionSyntaxError("expected 'mod'", mod.pos)
-            self.advance()
-            modulus_token = self.expect("int")
-            if int(modulus_token.text) != field.p:
-                raise ExpressionSyntaxError(
-                    f"literal modulus {modulus_token.text} does not match "
-                    f"backend {field.name}", modulus_token.pos)
-            return field.from_int(int(token.text))
-        numerator = int(token.text)
-        if self.peek().kind == "/":
-            self.advance()
-            return Rational(numerator, int(self.expect("int").text))
-        return Rational(numerator)
+        mod = self.peek()
+        if mod.kind != "ident" or mod.text != "mod":
+            raise ExpressionSyntaxError("expected 'mod'", mod.pos)
+        self.advance()
+        modulus_token = self.expect("int")
+        if self._int(modulus_token) != field.p:
+            raise ExpressionSyntaxError(
+                f"literal modulus {modulus_token.text} does not match "
+                f"backend {field.name}", modulus_token.pos)
+        return field.from_int(self._int(token))
 
     # grammar -------------------------------------------------------------
     def parse_expression(self) -> Node:
@@ -275,14 +280,17 @@ class _Parser:
         """A literal starting at the cursor, or None if something else starts.
 
         A bare integer can only begin a literal (outside the quaternion
-        backend), so its parse errors propagate with their position; the
-        quaternion ``(`` genuinely is ambiguous with a parenthesized
-        expression and uses backtracking.
+        backend).  A quaternion ``(`` also opens parenthesized
+        expressions, but only a literal continues with ``[-] INT``, since
+        a bare integer is no quaternion expression; two tokens of
+        lookahead decide.  Once a literal has begun, its parse errors
+        propagate with their position.
         """
         token = self.peek()
         if isinstance(self.field, QuaternionField):
-            if token.kind == "(":
-                return self.try_parse_literal()
+            ahead = [t.kind for t in self.tokens[self.index + 1:self.index + 3]]
+            if token.kind == "(" and (ahead[:1] == ["int"] or ahead == ["-", "int"]):
+                return Literal(self._parse_literal())
             return None
         if token.kind == "int":
             return Literal(self._parse_literal())
@@ -357,55 +365,52 @@ class _Parser:
         self.fail("expected ':' or ',' inside r(...)")
 
 
-def parse_expression(text: str, field: ScalarField) -> Node:
-    """Parse one complete expression; trailing input is an error."""
+def _parse_complete(text: str, field: ScalarField, rule):
+    """Run one grammar rule over the whole text; trailing input is an error."""
     parser = _Parser(text, field)
-    node = parser.parse_expression()
+    result = rule(parser)
     end = parser.peek()
     if end.kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing input {end.text!r}", end.pos)
-    return node
+    return result
+
+
+def parse_expression(text: str, field: ScalarField) -> Node:
+    """Parse one complete expression; trailing input is an error."""
+    return _parse_complete(text, field, _Parser.parse_expression)
 
 
 def parse_scalar(text: str, field: ScalarField) -> SkewScalar:
     """Parse exactly one scalar literal (optionally negated)."""
-    parser = _Parser(text, field)
-    negative = False
-    if parser.peek().kind == "-":
-        parser.advance()
-        negative = True
-    value = parser._parse_literal()
-    end = parser.peek()
-    if end.kind != "end":
-        raise ExpressionSyntaxError(f"unexpected trailing input {end.text!r}", end.pos)
-    return -value if negative else value
+    return _parse_complete(text, field, _Parser._parse_signed_literal)
 
 
 def parse_point(text: str, field: ScalarField) -> PlanePoint:
-    """Parse a point literal ``(x, y)`` with backend scalar coordinates."""
-    parser = _Parser(text, field)
-    parser.expect("(")
-    x = parser._parse_literal()
-    parser.expect(",")
-    y = parser._parse_literal()
-    parser.expect(")")
-    end = parser.peek()
-    if end.kind != "end":
-        raise ExpressionSyntaxError(f"unexpected trailing input {end.text!r}", end.pos)
-    return PlanePoint(x, y)
+    """Parse a point literal ``(x, y)``; each coordinate may be negated."""
+
+    def point(parser: _Parser) -> PlanePoint:
+        parser.expect("(")
+        x = parser._parse_signed_literal()
+        parser.expect(",")
+        y = parser._parse_signed_literal()
+        parser.expect(")")
+        return PlanePoint(x, y)
+
+    return _parse_complete(text, field, point)
 
 
 def parse_scalar_list(text: str, field: ScalarField) -> Tuple[SkewScalar, ...]:
-    """Parse a comma-separated list of scalar literals (e.g. a map base)."""
-    parser = _Parser(text, field)
-    values = [parser._parse_literal()]
-    while parser.peek().kind == ",":
-        parser.advance()
-        values.append(parser._parse_literal())
-    end = parser.peek()
-    if end.kind != "end":
-        raise ExpressionSyntaxError(f"unexpected trailing input {end.text!r}", end.pos)
-    return tuple(values)
+    """Parse a comma-separated list of scalar literals (e.g. a map base);
+    each may be negated."""
+
+    def scalar_list(parser: _Parser) -> Tuple[SkewScalar, ...]:
+        values = [parser._parse_signed_literal()]
+        while parser.peek().kind == ",":
+            parser.advance()
+            values.append(parser._parse_signed_literal())
+        return tuple(values)
+
+    return _parse_complete(text, field, scalar_list)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ the inverse law holds two-sidedly.
 
 The verify_* runners re-check all of this pointwise on explicit sample
 sets and return structured reports (one line per identity) so the CLI
-can run them on user-supplied bases.  Verification never asserts set
+can run them on user-supplied bases.  Each runner evaluates every sampled
+argument once and its identities share those values; the inverse law
+still checks inverse_value's own formula against them.  Verification never asserts set
 closure; instead each report records, informationally, how often sums
 and products of sampled map values are attained by the map again, using
 an exact preimage solver (closed forms where the defining equation
@@ -35,7 +37,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidBaseError,
@@ -239,6 +241,11 @@ def _zero_one(base: CrossRatioBase) -> Tuple[SkewScalar, SkewScalar]:
     return anchor - anchor, anchor.inverse() * anchor
 
 
+def _map_values(base: CrossRatioBase, arguments) -> Dict[SkewScalar, SkewScalar]:
+    """evaluate(base, x) once per distinct argument, for the identities to share."""
+    return {x: evaluate(base, x) for x in arguments}
+
+
 def _check(report: VerificationReport, name: str, samples: SampleSet,
            instances, predicate, describe) -> None:
     counterexample = None
@@ -262,25 +269,23 @@ def verify_addition_structure(base: CrossRatioBase,
     record for sums of map values."""
     zero, _ = _zero_one(base)
     values = samples.values
+    zero_arg = zero_point(base)
+    v = _map_values(base, (*values, zero_arg))
     report = VerificationReport(title=f"addition structure, {base}")
 
     _check(report, "value addition associativity", samples, _rotations(values, 3),
-           lambda x, y, z: (evaluate(base, x) + evaluate(base, y)) + evaluate(base, z)
-           == evaluate(base, x) + (evaluate(base, y) + evaluate(base, z)),
+           lambda x, y, z: (v[x] + v[y]) + v[z] == v[x] + (v[y] + v[z]),
            lambda x, y, z: f"X={x}, Y={y}, Z={z}")
     _check(report, "value addition commutativity", samples, _rotations(values, 2),
-           lambda x, y: evaluate(base, x) + evaluate(base, y)
-           == evaluate(base, y) + evaluate(base, x),
+           lambda x, y: v[x] + v[y] == v[y] + v[x],
            lambda x, y: f"X={x}, Y={y}")
 
-    zero_arg = zero_point(base)
-    zero_ok = evaluate(base, zero_arg) == zero
+    zero_ok = v[zero_arg] == zero
     _check(report, "zero element neutrality", samples, _rotations(values, 1),
-           lambda x: zero_ok and evaluate(base, x) + evaluate(base, zero_arg)
-           == evaluate(base, x),
+           lambda x: zero_ok and v[x] + v[zero_arg] == v[x],
            lambda x: f"X={x}, zero point={zero_arg}")
 
-    _record_closure(report, base, samples, operation="+")
+    _record_closure(report, base, samples, v, operation="+")
     return report
 
 
@@ -294,30 +299,28 @@ def verify_multiplicative_group(base: CrossRatioBase,
     """
     _, one = _zero_one(base)
     values = samples.values
+    unit_arg = unit_point(base)
+    v = _map_values(base, (*values, unit_arg))
     report = VerificationReport(title=f"multiplicative group, {base}")
 
     _check(report, "value multiplication associativity", samples, _rotations(values, 3),
-           lambda x, y, z: (evaluate(base, x) * evaluate(base, y)) * evaluate(base, z)
-           == evaluate(base, x) * (evaluate(base, y) * evaluate(base, z)),
+           lambda x, y, z: (v[x] * v[y]) * v[z] == v[x] * (v[y] * v[z]),
            lambda x, y, z: f"X={x}, Y={y}, Z={z}")
 
-    unit_arg = unit_point(base)
-    unit_ok = evaluate(base, unit_arg) == one
+    unit_ok = v[unit_arg] == one
     _check(report, "unit element two-sided neutrality", samples, _rotations(values, 1),
            lambda x: unit_ok
-           and evaluate(base, x) * evaluate(base, unit_arg) == evaluate(base, x)
-           and evaluate(base, unit_arg) * evaluate(base, x) == evaluate(base, x),
+           and v[x] * v[unit_arg] == v[x] and v[unit_arg] * v[x] == v[x],
            lambda x: f"X={x}, unit point={unit_arg}")
 
     def inverse_law(x):
-        value = evaluate(base, x)
         inverse = inverse_value(base, x)
-        return value * inverse == one and inverse * value == one
+        return v[x] * inverse == one and inverse * v[x] == one
 
     _check(report, "two-sided inverse law", samples, _rotations(values, 1),
            inverse_law, lambda x: f"X={x}")
 
-    _record_closure(report, base, samples, operation="*")
+    _record_closure(report, base, samples, v, operation="*")
     return report
 
 
@@ -325,15 +328,14 @@ def verify_distributive(base: CrossRatioBase,
                         samples: SampleSet) -> VerificationReport:
     """Pointwise checks of both distributive identities on sampled triples."""
     values = samples.values
+    v = _map_values(base, values)
     report = VerificationReport(title=f"distributivity, {base}")
 
     _check(report, "left distributivity", samples, _rotations(values, 3),
-           lambda x, y, z: evaluate(base, x) * (evaluate(base, y) + evaluate(base, z))
-           == evaluate(base, x) * evaluate(base, y) + evaluate(base, x) * evaluate(base, z),
+           lambda x, y, z: v[x] * (v[y] + v[z]) == v[x] * v[y] + v[x] * v[z],
            lambda x, y, z: f"X={x}, Y={y}, Z={z}")
     _check(report, "right distributivity", samples, _rotations(values, 3),
-           lambda x, y, z: (evaluate(base, x) + evaluate(base, y)) * evaluate(base, z)
-           == evaluate(base, x) * evaluate(base, z) + evaluate(base, y) * evaluate(base, z),
+           lambda x, y, z: (v[x] + v[y]) * v[z] == v[x] * v[z] + v[y] * v[z],
            lambda x, y, z: f"X={x}, Y={y}, Z={z}")
     return report
 
@@ -414,12 +416,12 @@ def _preimage_linear(base: CrossRatioBase, w: SkewScalar, one: SkewScalar):
 
 
 def _record_closure(report: VerificationReport, base: CrossRatioBase,
-                    samples: SampleSet, operation: str) -> None:
-    values = samples.values
+                    samples: SampleSet, v: Dict[SkewScalar, SkewScalar],
+                    operation: str) -> None:
     tallies = {ATTAINED: 0, NOT_ATTAINED: 0, UNDECIDED: 0}
     count = 0
-    for x, y in _rotations(values, 2):
-        left, right = evaluate(base, x), evaluate(base, y)
+    for x, y in _rotations(samples.values, 2):
+        left, right = v[x], v[y]
         combined = left + right if operation == "+" else left * right
         status, _ = preimage(base, combined)
         tallies[status] += 1

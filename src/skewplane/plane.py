@@ -14,10 +14,9 @@ ring.  Lines additionally re-anchor their base point to a canonical
 representative, so structural equality of PlaneLine values coincides with
 geometric equality of the lines.
 
-Intersections go through an exact non-commutative 2x2 solver.  Because
-the parameters sit on the left of the direction coordinates, elimination
-applies inverses on the right (t = (...) * dx^-1); each unique solution
-is re-verified by back-substitution before it is returned.
+Intersections are closed forms on those canonical lines (see
+``intersect``); each intersection point is re-checked against both lines
+before it is returned.
 """
 
 from __future__ import annotations
@@ -25,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import (
-    CoincidentPointsError,
-    IdenticalLinesError,
-    NoSolutionError,
-    ParallelLinesError,
-    UnderdeterminedError,
-)
+from .errors import CoincidentPointsError, IdenticalLinesError, ParallelLinesError
 from .scalars import SkewScalar, ensure_same_backend
 
 Direction = Tuple[SkewScalar, SkewScalar]
@@ -148,101 +141,25 @@ def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
     return on_line(r, line_through(p, q))
 
 
-@dataclass(frozen=True)
-class Linear2System:
-    """The system  t*d - s*e = r  componentwise over one backend.
-
-    Coefficients dx, dy and ex, ey multiply the unknown parameters on
-    the RIGHT (the unknowns act on the left, matching the line
-    parameterization); rx, ry are the right-hand sides.
-    """
-
-    dx: SkewScalar
-    dy: SkewScalar
-    ex: SkewScalar
-    ey: SkewScalar
-    rx: SkewScalar
-    ry: SkewScalar
-
-    def __post_init__(self):
-        ensure_same_backend(self.dx, self.dy, self.ex, self.ey, self.rx, self.ry)
-
-    def residual(self, t: SkewScalar, s: SkewScalar) -> Direction:
-        """Back-substitution residual of a candidate solution."""
-        return (t * self.dx - s * self.ex - self.rx,
-                t * self.dy - s * self.ey - self.ry)
-
-
-def solve2(system: Linear2System) -> Tuple[SkewScalar, SkewScalar]:
-    """Solve t*d - s*e = r exactly over the skew field.
-
-    Returns the unique (t, s) when it exists; raises NoSolutionError for
-    an inconsistent system and UnderdeterminedError when a free parameter
-    remains (rank < 2).  Elimination keeps every unknown on the left of
-    its coefficient, so the inverses divide on the right.  Unique
-    solutions are verified by back-substitution before returning.
-    """
-    dx, dy, ex, ey, rx, ry = (system.dx, system.dy, system.ex,
-                              system.ey, system.rx, system.ry)
-    if not dx.is_zero():
-        t, s = _eliminate(dx, dy, ex, ey, rx, ry)
-    elif not dy.is_zero():
-        t, s = _eliminate(dy, dx, ey, ex, ry, rx)
-    else:
-        t, s = _solve_single(system)
-    zero = (dx - dx, dx - dx)
-    if system.residual(t, s) != zero:  # pragma: no cover - algebra guard
-        raise AssertionError("solve2 back-substitution failed")
-    return t, s
-
-
-def _eliminate(dx, dy, ex, ey, rx, ry):
-    """Unique-solution elimination assuming dx != 0 (coordinates may be swapped)."""
-    dx_inv = dx.inverse()
-    m = dx_inv * dy
-    # substitute t = (rx + s*ex) * dx^-1 into the second equation:
-    #   s * (ex*m - ey) = ry - rx*m
-    g = ex * m - ey
-    rhs = ry - rx * m
-    if g.is_zero():
-        if rhs.is_zero():
-            raise UnderdeterminedError("system has rank < 2")
-        raise NoSolutionError("system is inconsistent")
-    s = rhs * g.inverse()
-    t = (rx + s * ex) * dx_inv
-    return t, s
-
-
-def _solve_single(system: Linear2System):
-    """Degenerate case d = 0: only s is constrained, so a unique (t, s) never exists."""
-    ex, ey, rx, ry = system.ex, system.ey, system.rx, system.ry
-    if not ex.is_zero():
-        s = (-rx) * ex.inverse()
-        consistent = (s * ey + ry).is_zero() if not ey.is_zero() else ry.is_zero()
-    elif not ey.is_zero():
-        s = (-ry) * ey.inverse()
-        consistent = rx.is_zero()
-    else:
-        consistent = rx.is_zero() and ry.is_zero()
-    if consistent:
-        raise UnderdeterminedError("system has rank < 2")
-    raise NoSolutionError("system is inconsistent")
-
-
 def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
-    """The unique common point of two distinct non-parallel lines."""
+    """The unique common point of two distinct non-parallel lines.
+
+    A vertical line x = c meets the other line at that line's point
+    with parameter c.  Otherwise b1 + x*m1 = b2 + x*m2 gives
+    x = (b2 - b1) * (m1 - m2)^-1: the parameter acts on the left, so the
+    inverse divides on the right.
+    """
     if l1 == l2:
         raise IdenticalLinesError(f"line {l1} intersected with itself")
     if is_parallel(l1, l2):
         raise ParallelLinesError(f"{l1} and {l2} are parallel and disjoint")
-    offset = l1.base.displacement_to(l2.base)
-    system = Linear2System(
-        dx=l1.direction[0], dy=l1.direction[1],
-        ex=l2.direction[0], ey=l2.direction[1],
-        rx=offset[0], ry=offset[1],
-    )
-    t, _ = solve2(system)
-    point = l1.point_at(t)
+    if l1.direction[0].is_zero():
+        point = l2.point_at(l1.base.x)
+    elif l2.direction[0].is_zero():
+        point = l1.point_at(l2.base.x)
+    else:
+        x = (l2.base.y - l1.base.y) * (l1.direction[1] - l2.direction[1]).inverse()
+        point = l1.point_at(x)
     if not (on_line(point, l1) and on_line(point, l2)):  # pragma: no cover
         raise AssertionError("intersection point failed containment check")
     return point

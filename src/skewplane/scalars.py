@@ -145,9 +145,6 @@ class Rational(SkewScalar):
     def denominator(self) -> int:
         return int(self._v.denominator)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
     def _coerce(self, other):
         if isinstance(other, Rational):
             return other

@@ -1,10 +1,18 @@
 """Command-line behavior: outputs, files, and the exit-code contract."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from skewplane.cli import load_desargues_config, main, parse_backend
 from skewplane.errors import ExpressionSyntaxError
-from skewplane.scalars import PrimeField, QuaternionField, RationalField
+from skewplane.expressions import parse_point
+from skewplane.plane import PlanePoint
+from skewplane.scalars import PrimeField, QuaternionField, Rational, RationalField
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 VALID_CONFIG = """\
 # translated triangle
@@ -27,6 +35,16 @@ C'=(2,2)
 variant=concurrent P=(0,0)
 """
 
+NEGATIVE_CONFIG = """\
+A=(-1,2)
+B=(1,0)
+C=(0,0)
+A'=(2,5)
+B'=(4,3)
+C'=(3,3)
+variant=parallel
+"""
+
 BROKEN_HYPOTHESIS_CONFIG = """\
 A=(0,0)
 B=(1,0)
@@ -36,6 +54,60 @@ B'=(3,3)
 C'=(9,4)
 variant=parallel
 """
+
+
+class TestNegativeLiterals:
+    """Points and base lists take a minus sign, as scalar literals do."""
+
+    def test_negative_aux_point(self, capsys):
+        assert main(["construct", "add", "--a", "2", "--b", "3", "--aux", "(-1,2)"]) == 0
+        assert "result = (5, 0)" in capsys.readouterr().out
+
+    def test_printed_negative_result_parses_back(self, capsys):
+        assert main(["construct", "add", "--a=-4", "--b", "1", "--aux", "(-1,2)"]) == 0
+        result = re.search(r"^result = (.*)$", capsys.readouterr().out, re.M)[1]
+        assert result == "(-3, 0)"
+        assert parse_point(result, RationalField()) == PlanePoint(Rational(-3), Rational(0))
+
+    def test_negative_base_list(self, capsys):
+        assert main(["verify", "--family", "A", "--base=-3,1,5", "--count", "5"]) == 0
+        assert "family A base (-3, 1, 5)" in capsys.readouterr().out
+
+    def test_negative_config_point(self, capsys, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(NEGATIVE_CONFIG)
+        assert main(["desargues", "--config", str(path)]) == 0
+        assert "conclusion AC parallel A'C': true" in capsys.readouterr().out
+
+
+class TestBadLiterals:
+    @pytest.mark.parametrize("argv,offset", [
+        (["eval", "1/0"], 2),
+        (["eval", "--backend", "quaternion", "(1/0,0,0,0)"], 3),
+        (["eval", "7" * 5000], 0),
+        (["eval", "--backend", "gfp(5)", "3 mod " + "7" * 5000], 6),
+    ])
+    def test_positioned_usage_error(self, argv, offset, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[ExpressionSyntaxError]: ")
+        assert err.endswith(f" at offset {offset}\n") and err.count("\n") == 1
+
+
+class TestReadmeExamples:
+    """Every command of the README's CLI block runs as printed."""
+
+    def test_cli_block(self, capsys, tmp_path, monkeypatch):
+        text = README.read_text(encoding="utf-8")
+        cli_block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S)[1]
+        config_block = re.search(r"### Configuration files.*?```\n(.*?)```", text, re.S)[1]
+        (tmp_path / "examples.cfg").write_text(config_block, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        commands = [shlex.split(line, comments=True)
+                    for line in cli_block.splitlines() if line.startswith("skewplane ")]
+        assert commands
+        for argv in commands:
+            assert main(argv[1:]) == 0, " ".join(argv)
 
 
 class TestParseBackend:

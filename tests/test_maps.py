@@ -226,18 +226,16 @@ class TestVerifiers:
         assert any("rejections=1" in line for line in body)
 
     def test_failure_reporting_with_a_poisoned_identity(self, monkeypatch, gf5):
-        # force one comparison to fail and check it is reported, not raised
+        # poison the map value at the zero point; the failure is reported, not raised
         import skewplane.maps as maps_module
 
         base = CrossRatioBase(Family.A, tuple(gf5.from_int(n) for n in (1, 2, 3)))
         samples = exhaustive_arguments(gf5, base)
         original = maps_module.evaluate
-        calls = {"n": 0}
 
         def flaky(base_arg, x):
-            calls["n"] += 1
             value = original(base_arg, x)
-            if calls["n"] == 1:
+            if x == zero_point(base_arg):
                 return value + gf5.one()
             return value
 

@@ -1,4 +1,4 @@
-"""Plane primitives: lines, parallels, intersections, and the 2x2 solver."""
+"""Plane primitives: lines, parallels, incidence and closed-form intersections."""
 
 from itertools import product
 
@@ -7,12 +7,9 @@ import pytest
 from skewplane.errors import (
     CoincidentPointsError,
     IdenticalLinesError,
-    NoSolutionError,
     ParallelLinesError,
-    UnderdeterminedError,
 )
 from skewplane.plane import (
-    Linear2System,
     PlaneLine,
     PlanePoint,
     collinear,
@@ -21,7 +18,6 @@ from skewplane.plane import (
     line_through,
     on_line,
     parallel_through,
-    solve2,
 )
 from skewplane.scalars import PrimeField, QuaternionField, Rational
 
@@ -123,51 +119,28 @@ class TestIsParallel:
                         assert is_parallel(a, c)
 
 
-def _system(d, e, r):
-    return Linear2System(Rational(d[0]), Rational(d[1]), Rational(e[0]),
-                         Rational(e[1]), Rational(r[0]), Rational(r[1]))
-
-
-class TestSolve2:
-    def test_unique_solution(self):
-        t, s = solve2(_system((1, 0), (0, 1), (2, 1)))
-        assert t == Rational(2) and s == Rational(-1)
-
-    def test_parallel_offset_has_no_solution(self):
-        with pytest.raises(NoSolutionError):
-            solve2(_system((1, 0), (1, 0), (0, 1)))
-
-    def test_same_line_is_underdetermined(self):
-        with pytest.raises(UnderdeterminedError):
-            solve2(_system((1, 0), (1, 0), (0, 0)))
-
-    def test_zero_direction_never_unique(self):
-        with pytest.raises(UnderdeterminedError):
-            solve2(_system((0, 0), (0, 1), (0, -3)))
-        with pytest.raises(NoSolutionError):
-            solve2(_system((0, 0), (0, 1), (1, 0)))
-
-    def test_swapped_pivot_branch(self):
-        # dx = 0 forces elimination through the y coordinate
-        t, s = solve2(_system((0, 1), (1, 0), (-4, 3)))
-        assert t == Rational(3) and s == Rational(4)
-
-    def test_quaternion_back_substitution(self, rng):
-        field = QuaternionField()
-        for _ in range(40):
-            system = Linear2System(*(field.random_element(rng) for _ in range(6)))
-            try:
-                t, s = solve2(system)
-            except (NoSolutionError, UnderdeterminedError):
-                continue
-            assert system.residual(t, s) == (field.zero(), field.zero())
-
-
 class TestIntersect:
     def test_vertical_meets_horizontal(self):
         vertical = rational_line((2, 0), (2, 1))
         horizontal = rational_line((0, 1), (1, 1))
         assert intersect(vertical, horizontal) == rp(2, 1)
+
+    def test_horizontal_meets_vertical(self):
+        vertical = rational_line((2, 0), (2, 1))
+        horizontal = rational_line((0, 1), (1, 1))
+        assert intersect(horizontal, vertical) == rp(2, 1)
+
+    def test_quaternion_parameter_divides_on_the_right(self):
+        # y = x*i meets y = j where x * i = j, i.e. x = j * i^-1 = k;
+        # the other factor order, i^-1 * j = -k, is not on the second line
+        field = QuaternionField()
+        zero, one, i, j, k = field.zero(), field.one(), field.i(), field.j(), field.k()
+        l1 = PlaneLine(PlanePoint(zero, zero), (one, i))
+        l2 = PlaneLine(PlanePoint(zero, j), (one, zero))
+        b_diff, m_diff = l2.base.y - l1.base.y, l1.direction[1] - l2.direction[1]
+        assert b_diff * m_diff.inverse() != m_diff.inverse() * b_diff
+        assert intersect(l1, l2) == PlanePoint(k, j)
+        assert intersect(l2, l1) == PlanePoint(k, j)
 
     def test_parallel_lines_error(self):
         with pytest.raises(ParallelLinesError):
@@ -236,6 +209,13 @@ class TestAffineAxiomsGF3:
             assert on_line(p, joining) and on_line(q, joining)
             containing = [l for l in self.lines if on_line(p, l) and on_line(q, l)]
             assert containing == [joining]
+
+    def test_intersect_is_the_enumerated_common_point(self):
+        for l1, l2 in product(self.lines, self.lines):
+            if is_parallel(l1, l2):
+                continue
+            common = [p for p in self.points if on_line(p, l1) and on_line(p, l2)]
+            assert common == [intersect(l1, l2)]
 
     def test_playfair_parallel_misses_and_is_unique(self):
         for line in self.lines:
