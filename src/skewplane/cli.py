@@ -11,10 +11,12 @@ Commands:
     selftest   run the package's full invariant battery
 
 Exit codes: 0 success / all checks pass, 1 a verification reported a
-failure (or a Desargues conclusion came back false), 2 usage or parse
-errors (including unsupported SVG backends), 3 singular or degenerate
-mathematical input.  Every core error surfaces with its class name and
-the offending values.
+failure (or a Desargues conclusion came back false), 2 a
+:class:`~skewplane.errors.UsageError` (bad grammar, backend, configuration
+file or output) or an ``OSError``, 3 a
+:class:`~skewplane.errors.DegenerateInputError` (singular or degenerate
+mathematical input).  The error class alone picks the code; the error
+surfaces as one ``error[ClassName]: message`` line on stderr.
 """
 
 from __future__ import annotations
@@ -33,24 +35,7 @@ from .constructions import (
     trace_multiplication,
     validate_desargues_config,
 )
-from .errors import (
-    AuxOnBaseLineError,
-    BackendMismatchError,
-    CoincidentPointsError,
-    DegenerateConstructionError,
-    ExpressionSyntaxError,
-    IdenticalLinesError,
-    InvalidBaseError,
-    InvalidConfigurationError,
-    ParallelLinesError,
-    PointOffBaseLineError,
-    SingularArgumentError,
-    SingularCrossRatioError,
-    UnsupportedBackendError,
-    ZeroDenominatorPointError,
-    ZeroInverseError,
-    ZeroValueNotInvertibleError,
-)
+from .errors import DegenerateInputError, ExpressionSyntaxError, UsageError
 from .expressions import (
     evaluate_expression,
     parse_expression,
@@ -76,23 +61,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 
-#: Degenerate or singular mathematical input (not a usage mistake).
-_SINGULAR_ERRORS = (
-    SingularCrossRatioError,
-    ZeroDenominatorPointError,
-    CoincidentPointsError,
-    SingularArgumentError,
-    ZeroValueNotInvertibleError,
-    ZeroInverseError,
-    InvalidBaseError,
-    PointOffBaseLineError,
-    AuxOnBaseLineError,
-    DegenerateConstructionError,
-    InvalidConfigurationError,
-    ParallelLinesError,
-    IdenticalLinesError,
-)
-
 
 def parse_backend(name: str) -> ScalarField:
     """Backend selector: ``rational``, ``quaternion``, or ``gfp(p)``."""
@@ -115,45 +83,69 @@ def parse_backend(name: str) -> ScalarField:
         f"unknown backend {name!r} (expected rational, gfp(p) or quaternion)", 0)
 
 
+def _strip(text: str, column: int):
+    """``text`` stripped of blanks, and the column where what is left starts."""
+    stripped = text.lstrip()
+    return stripped.rstrip(), column + len(text) - len(stripped)
+
+
+def _config_point(text: str, column: int, field: ScalarField):
+    """A config point at ``column``; a parse error's offset becomes a column."""
+    try:
+        return parse_point(text, field)
+    except ExpressionSyntaxError as exc:
+        raise ExpressionSyntaxError(exc.message, column + exc.position) from None
+
+
 def load_desargues_config(path: str, field: ScalarField) -> DesarguesConfig:
     """Read the flat one-record-per-line configuration format.
 
     Lines: ``A=(x,y)`` .. ``C'=(x,y)`` and ``variant=parallel`` or
     ``variant=concurrent P=(x,y)``.  Blank lines are ignored, and ``#``
-    starts a comment that runs to the end of the line.
+    starts a comment that runs to the end of the line.  An error on a
+    line names it and carries the column of the offending text; a file
+    that is not UTF-8 fails at the offset of its first bad byte.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = handle.read().splitlines()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ExpressionSyntaxError(f"config is not UTF-8 ({exc.reason})", exc.start) from None
     entries = {}
     variant = None
     center = None
-    for number, raw in enumerate(raw_lines, start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
+    for number, raw in enumerate(text.splitlines(), start=1):
+        raw_key, sep, raw_value = raw.partition("#")[0].partition("=")
+        key, key_column = _strip(raw_key, 0)
+        value, value_column = _strip(raw_value, len(raw_key) + len(sep))
+        if not (key or sep or value):
             continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or not value:
-            raise ExpressionSyntaxError(f"config line {number} is not KEY=VALUE", 0)
-        if key == "variant":
-            if value == PARALLEL:
-                variant = PARALLEL
-            elif value.startswith(CONCURRENT):
-                variant = CONCURRENT
-                rest = value[len(CONCURRENT):].strip()
-                if not rest.startswith("P="):
-                    raise ExpressionSyntaxError(
-                        f"config line {number}: concurrent variant needs P=(x,y)", 0)
-                center = parse_point(rest[2:].strip(), field)
-            else:
+        try:
+            if not sep or not value:
                 raise ExpressionSyntaxError(
-                    f"config line {number}: unknown variant {value!r}", 0)
-        elif key in ("A", "B", "C", "A'", "B'", "C'"):
-            entries[key] = parse_point(value, field)
-        else:
+                    "not KEY=VALUE", value_column if sep else key_column)
+            if key == "variant":
+                if value == PARALLEL:
+                    variant = PARALLEL
+                elif value.startswith(CONCURRENT):
+                    variant = CONCURRENT
+                    rest, rest_column = _strip(value[len(CONCURRENT):],
+                                               value_column + len(CONCURRENT))
+                    if not rest.startswith("P="):
+                        raise ExpressionSyntaxError(
+                            "concurrent variant needs P=(x,y)", rest_column)
+                    center = _config_point(*_strip(rest[2:], rest_column + 2), field)
+                else:
+                    raise ExpressionSyntaxError(
+                        f"unknown variant {value!r}", value_column)
+            elif key in ("A", "B", "C", "A'", "B'", "C'"):
+                entries[key] = _config_point(value, value_column, field)
+            else:
+                raise ExpressionSyntaxError(f"unknown key {key!r}", key_column)
+        except ExpressionSyntaxError as exc:
             raise ExpressionSyntaxError(
-                f"config line {number}: unknown key {key!r}", 0)
+                f"config line {number}: {exc.message}", exc.position) from None
     missing = [k for k in ("A", "B", "C", "A'", "B'", "C'") if k not in entries]
     if missing:
         raise ExpressionSyntaxError(f"config is missing {', '.join(missing)}", 0)
@@ -312,18 +304,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--count must be at least 1")
     try:
         return args.handler(args)
-    except ExpressionSyntaxError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UnsupportedBackendError, BackendMismatchError) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _SINGULAR_ERRORS as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except OSError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (UsageError, OSError) as exc:
+        return _report(exc, EXIT_USAGE)
+    except DegenerateInputError as exc:
+        return _report(exc, EXIT_SINGULAR)
+
+
+def _report(exc: Exception, code: int) -> int:
+    print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

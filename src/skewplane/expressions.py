@@ -17,16 +17,19 @@ postfix ``^-1``, unary minus, parentheses, and the function forms
 
 Parsing is deterministic recursive descent over a tokenizer that tracks
 character offsets, so every syntax error carries its position.  The
-printer emits fully parenthesized text and ``parse(print(ast)) == ast``
-structurally; unary minus directly in front of a literal folds into the
-literal at parse time, which is exactly what the printer produces for
-negative literal values.
+nesting of parentheses and function forms, and the depth of the syntax
+tree (operator nodes on one path to a literal), are capped at
+``MAX_DEPTH``.  The printer emits fully parenthesized text and
+``parse(print(ast)) == ast`` structurally; unary minus directly in front
+of a literal folds into the literal at parse time, which is exactly what
+the printer produces for negative literal values.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple, Union
 
 from .errors import ExpressionSyntaxError
@@ -168,6 +171,12 @@ def _tokenize(text: str) -> List[_Token]:
 
 _FUNCTION_NAMES = {"r", "cr", "map"}
 
+#: Cap on the nesting of parentheses and function forms, and on the tree
+#: depth.  The parser, the evaluator, the printer and structural ``==``
+#: recurse once per level, so deeper input is refused at the token that
+#: crosses the cap instead of exhausting the interpreter's stack.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, text: str, field: ScalarField):
@@ -175,6 +184,7 @@ class _Parser:
         self.field = field
         self.tokens = _tokenize(text)
         self.index = 0
+        self.nesting = 0
 
     # token plumbing ------------------------------------------------------
     def peek(self) -> _Token:
@@ -254,27 +264,39 @@ class _Parser:
         return field.from_int(self._int(token))
 
     # grammar -------------------------------------------------------------
-    def parse_expression(self) -> Node:
-        node = self.parse_term()
+    # Each rule returns the node it read and the node's tree depth, the
+    # number of operator nodes on its longest path to a literal.
+
+    def _checked(self, node: Node, depth: int, token: _Token) -> Tuple[Node, int]:
+        """``(node, depth)``; a depth past MAX_DEPTH fails at ``token``."""
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression deeper than {MAX_DEPTH} levels", token.pos)
+        return node, depth
+
+    def parse_expression(self) -> Tuple[Node, int]:
+        node, depth = self.parse_term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            right = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+            op = self.advance()
+            right, right_depth = self.parse_term()
+            node, depth = self._checked(
+                (Add if op.kind == "+" else Sub)(node, right),
+                1 + max(depth, right_depth), op)
+        return node, depth
 
-    def parse_term(self) -> Node:
-        node = self.parse_postfix()
+    def parse_term(self) -> Tuple[Node, int]:
+        node, depth = self.parse_postfix()
         while self.peek().kind == "*":
-            self.advance()
-            node = Mul(node, self.parse_postfix())
-        return node
+            op = self.advance()
+            right, right_depth = self.parse_postfix()
+            node, depth = self._checked(Mul(node, right), 1 + max(depth, right_depth), op)
+        return node, depth
 
-    def parse_postfix(self) -> Node:
-        node = self.parse_primary()
+    def parse_postfix(self) -> Tuple[Node, int]:
+        node, depth = self.parse_primary()
         while self.peek().kind == "invop":
-            self.advance()
-            node = Inv(node)
-        return node
+            node, depth = self._checked(Inv(node), depth + 1, self.advance())
+        return node, depth
 
     def _literal_here(self) -> Optional[Literal]:
         """A literal starting at the cursor, or None if something else starts.
@@ -296,30 +318,55 @@ class _Parser:
             return Literal(self._parse_literal())
         return None
 
-    def parse_primary(self) -> Node:
-        token = self.peek()
-        if token.kind == "-":
-            self.advance()
-            literal = self._literal_here()
-            if literal is not None:
-                return Literal(-literal.value)
-            return Neg(self.parse_primary())
+    def parse_primary(self) -> Tuple[Node, int]:
+        """[-]... followed by a literal, a parenthesized expression or a
+        function form; the sign nearest a literal folds into it."""
+        signs = []
+        while self.peek().kind == "-":
+            signs.append(self.advance())
         literal = self._literal_here()
-        if literal is not None:
-            return literal
-        if token.kind == "ident" and token.text in _FUNCTION_NAMES:
-            return self.parse_function()
-        if token.kind == "(":
-            self.advance()
-            node = self.parse_expression()
-            self.expect(")")
-            return node
-        self.fail(f"expected an expression, found {token.text or 'end of input'!r}")
+        if literal is None:
+            node, depth = self._parse_group()
+        elif signs:
+            signs.pop()
+            node, depth = Literal(-literal.value), 0
+        else:
+            node, depth = literal, 0
+        for sign in reversed(signs):
+            node, depth = self._checked(Neg(node), depth + 1, sign)
+        return node, depth
 
-    def parse_function(self) -> Node:
-        name = self.advance().text
+    def _parse_group(self) -> Tuple[Node, int]:
+        """A parenthesized expression or a function form, one nesting level in."""
+        token = self.peek()
+        is_function = token.kind == "ident" and token.text in _FUNCTION_NAMES
+        if not (is_function or token.kind == "("):
+            self.fail(f"expected an expression, found {token.text or 'end of input'!r}")
+        if self.nesting == MAX_DEPTH:
+            raise ExpressionSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", token.pos)
+        self.nesting += 1
+        if is_function:
+            result = self.parse_function()
+        else:
+            self.advance()
+            result = self.parse_expression()
+            self.expect(")")
+        self.nesting -= 1
+        return result
+
+    def _arguments(self, *separators: str) -> List[Tuple[Node, int]]:
+        """Expressions separated by ``separators`` in turn, then ``)``."""
+        parsed = [self.parse_expression()]
+        for separator in separators:
+            self.expect(separator)
+            parsed.append(self.parse_expression())
+        self.expect(")")
+        return parsed
+
+    def parse_function(self) -> Tuple[Node, int]:
+        name = self.advance()
         self.expect("(")
-        if name == "map":
+        if name.text == "map":
             family_token = self.expect("ident")
             try:
                 family = Family(family_token.text)
@@ -328,41 +375,23 @@ class _Parser:
                     f"unknown family {family_token.text!r} (expected A, B, C or D)",
                     family_token.pos) from None
             self.expect(";")
-            p1 = self.parse_expression()
-            self.expect(",")
-            p2 = self.parse_expression()
-            self.expect(",")
-            p3 = self.parse_expression()
-            self.expect(";")
-            x = self.parse_expression()
-            self.expect(")")
-            return MapNode(family, p1, p2, p3, x)
-        if name == "cr":
-            a = self.parse_expression()
-            self.expect(",")
-            b = self.parse_expression()
-            self.expect(";")
-            c = self.parse_expression()
-            self.expect(",")
-            d = self.parse_expression()
-            self.expect(")")
-            return CrossRatioNode(a, b, c, d)
-        # r(A:B) or r(A,B;C)
-        a = self.parse_expression()
-        separator = self.peek()
-        if separator.kind == ":":
+            parsed = self._arguments(",", ",", ";")
+            build = partial(MapNode, family)
+        elif name.text == "cr":
+            parsed = self._arguments(",", ";", ",")
+            build = CrossRatioNode
+        else:  # r(A:B) or r(A,B;C)
+            first = self.parse_expression()
+            separator = self.peek().kind
+            if separator not in (":", ","):
+                self.fail("expected ':' or ',' inside r(...)")
             self.advance()
-            b = self.parse_expression()
-            self.expect(")")
-            return Ratio2(a, b)
-        if separator.kind == ",":
-            self.advance()
-            b = self.parse_expression()
-            self.expect(";")
-            c = self.parse_expression()
-            self.expect(")")
-            return Ratio3(a, b, c)
-        self.fail("expected ':' or ',' inside r(...)")
+            if separator == ":":
+                parsed, build = [first] + self._arguments(), Ratio2
+            else:
+                parsed, build = [first] + self._arguments(";"), Ratio3
+        return self._checked(build(*(node for node, _ in parsed)),
+                             1 + max(depth for _, depth in parsed), name)
 
 
 def _parse_complete(text: str, field: ScalarField, rule):
@@ -377,7 +406,7 @@ def _parse_complete(text: str, field: ScalarField, rule):
 
 def parse_expression(text: str, field: ScalarField) -> Node:
     """Parse one complete expression; trailing input is an error."""
-    return _parse_complete(text, field, _Parser.parse_expression)
+    return _parse_complete(text, field, lambda parser: parser.parse_expression()[0])
 
 
 def parse_scalar(text: str, field: ScalarField) -> SkewScalar:

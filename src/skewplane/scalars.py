@@ -21,11 +21,12 @@ keep gcd-reduced canonical form with a positive denominator.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import BackendMismatchError, ZeroInverseError
+from .errors import BackendMismatchError, UsageError, ZeroInverseError
 
 try:
     from gmpy2 import mpq as _RAT
@@ -42,6 +43,22 @@ def _to_rat(value, denominator=None):
     if denominator is None:
         return _RAT(value)
     return _RAT(value, denominator)
+
+
+def _rat_str(value) -> str:
+    """``n`` or ``n/d`` for an internal rational, printed through ``int``.
+
+    Printing through ``int`` makes both engines stop at the interpreter's
+    digit limit, which the parser cannot read past either; a value beyond
+    it is a UsageError.
+    """
+    numerator, denominator = int(value.numerator), int(value.denominator)
+    try:
+        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+    except ValueError:
+        raise UsageError(
+            "value too long to print: more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 class SkewScalar(ABC):
@@ -191,7 +208,7 @@ class Rational(SkewScalar):
         return hash(self._v)
 
     def __str__(self) -> str:
-        return str(self._v)
+        return _rat_str(self._v)
 
     def __repr__(self) -> str:
         return f"Rational({self._v})"
@@ -371,7 +388,7 @@ class RationalQuaternion(SkewScalar):
         return hash((self.w, self.x, self.y, self.z))
 
     def __str__(self) -> str:
-        return f"({self.w},{self.x},{self.y},{self.z})"
+        return "({},{},{},{})".format(*map(_rat_str, self.components()))
 
     def __repr__(self) -> str:
         return f"RationalQuaternion{self.components()}"
@@ -383,18 +400,33 @@ def ensure_same_backend(first: SkewScalar, *rest: SkewScalar) -> None:
         first._coerce(other)
 
 
+#: The first 13 primes, the Miller-Rabin witnesses of :func:`is_prime`.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: psi_13 = 1287836182261 * 2575672364521, the least strong pseudoprime to
+#: every base in ``_WITNESSES`` (Sorenson & Webster, "Strong pseudoprimes
+#: to twelve prime bases", Math. Comp. 2017).
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin over the 13 prime bases up to 41.
+
+    Exact for every n below ``PRIMALITY_BOUND`` (about 3.3e24); from there
+    on these bases no longer decide primality, so a ``ValueError`` is
+    raised instead of an answer.
+    """
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {PRIMALITY_BOUND}")
+    for small in _WITNESSES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for witness in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for witness in _WITNESSES:
         x = pow(witness, d, n)
         if x in (1, n - 1):
             continue

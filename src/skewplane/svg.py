@@ -3,7 +3,8 @@
 Drawing needs coordinates that embed in the real plane, so only the
 rational backend is drawable; quaternion or prime-field traces raise
 UnsupportedBackendError.  Exact coordinates are converted to floats at
-this boundary only (the core never touches floating point).
+this boundary only (the core never touches floating point); one too
+large for a float is a UsageError.
 
 The output is byte-deterministic for identical input: a fixed canvas,
 a viewport autoscaled to the bounding box of the labeled points plus a
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from .constructions import ConstructionTrace
-from .errors import UnsupportedBackendError
+from .errors import UnsupportedBackendError, UsageError
 from .plane import PlaneLine, PlanePoint
 from .scalars import Rational
 
@@ -31,7 +32,11 @@ def _as_float(scalar) -> float:
         raise UnsupportedBackendError(
             "SVG output supports the rational backend only; "
             f"got a {type(scalar).__name__} coordinate")
-    return scalar.numerator / scalar.denominator
+    try:
+        return scalar.numerator / scalar.denominator
+    except OverflowError:
+        raise UsageError("SVG output needs every coordinate within the float "
+                         "range (magnitude below about 1.8e308)") from None
 
 
 def _point_xy(point: PlanePoint) -> Tuple[float, float]:

@@ -1,18 +1,48 @@
 """Command-line behavior: outputs, files, and the exit-code contract."""
 
+import io
+import os
 import re
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from skewplane.cli import load_desargues_config, main, parse_backend
 from skewplane.errors import ExpressionSyntaxError
-from skewplane.expressions import parse_point
+from skewplane.expressions import (
+    MAX_DEPTH,
+    evaluate_expression,
+    parse_expression,
+    parse_point,
+    print_expression,
+)
 from skewplane.plane import PlanePoint
 from skewplane.scalars import PrimeField, QuaternionField, Rational, RationalField
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+#: A config file whose second line holds the Latin-1 byte 0xE9 at offset 13.
+LATIN1_CONFIG = str(Path(__file__).resolve().parent / "data" / "latin1.cfg")
+
+#: psi_12 = 399165290221 * 798330580441 and psi_13, the least strong
+#: pseudoprimes to the first 12 and the first 13 prime bases.
+PSI12 = 318665857834031151167461
+PSI13 = 3317044064679887385961981
+DIGITS_3000 = "7" * 3000
+
+#: Each shape at k levels, and the offset of the token that crosses the
+#: depth cap at k = MAX_DEPTH + 1.
+N = MAX_DEPTH
+DEPTH_SHAPES = {
+    "parenthesis": (lambda k: "(" * k + "1" + ")" * k, N),
+    "function": (lambda k: "cr(" * k + "2" + ",3;1,5)" * k, 3 * N),
+    "unary minus": (lambda k: "-" * k + "(1)", 0),
+    "plus": (lambda k: "+".join(["1"] * (k + 1)), 2 * N + 1),
+    "times": (lambda k: "*".join(["2"] * (k + 1)), 2 * N + 1),
+    "inverse": (lambda k: "2" + "^-1" * k, 3 * N + 1),
+}
 
 VALID_CONFIG = """\
 # translated triangle
@@ -86,12 +116,39 @@ class TestBadLiterals:
         (["eval", "--backend", "quaternion", "(1/0,0,0,0)"], 3),
         (["eval", "7" * 5000], 0),
         (["eval", "--backend", "gfp(5)", "3 mod " + "7" * 5000], 6),
+        (["desargues", "--config", LATIN1_CONFIG], 13),
+    ] + [
+        (["eval", "--", make(MAX_DEPTH + 1)], offset)
+        for make, offset in DEPTH_SHAPES.values()
     ])
     def test_positioned_usage_error(self, argv, offset, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[ExpressionSyntaxError]: ")
         assert err.endswith(f" at offset {offset}\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES)
+    def test_depth_cap_is_accepted(self, shape, capsys):
+        text = DEPTH_SHAPES[shape][0](MAX_DEPTH)
+        field = RationalField()
+        node = parse_expression(text, field)
+        value = evaluate_expression(node)
+        assert parse_expression(print_expression(node), field) == node
+        assert main(["eval", "--", text]) == 0
+        assert capsys.readouterr().out == f"{value}\n"
+
+    @pytest.mark.parametrize("argv,detail", [
+        (["construct", "add", "--a", "1" + "0" * 400, "--b", "1", "--aux", "(0,1)",
+          "--svg", os.devnull], "float range"),
+        (["eval", f"{DIGITS_3000}*{DIGITS_3000}"], " digits"),
+        (["eval", "--backend", "quaternion", f"({DIGITS_3000},0,0,0)*(0,0,{DIGITS_3000},0)"],
+         " digits"),
+    ])
+    def test_oversized_value_is_one_short_usage_error(self, argv, detail, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[UsageError]: ") and err.count("\n") == 1
+        assert detail in err and len(err) < 200
 
 
 class TestReadmeExamples:
@@ -258,6 +315,24 @@ class TestDesarguesCommand:
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         assert main(["desargues", "--config", str(tmp_path / "nope.txt")]) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        (VALID_CONFIG.replace("B'=(3,3)", "B'=(3,3"),
+         "config line 6: expected ')', found 'end of input' at offset 7"),
+        ("A=(0,0)\n  variant = banana\n", "config line 2: unknown variant 'banana' at offset 12"),
+        ("A=(0,0)\n  Q = (1,2)\n", "config line 2: unknown key 'Q' at offset 2"),
+        ("A=(0,0)\n  junk\n", "config line 2: not KEY=VALUE at offset 2"),
+        ("A=(0,0)\nB=  # empty\n", "config line 2: not KEY=VALUE at offset 4"),
+        ("variant=concurrent  Q=(0,0)\n",
+         "config line 1: concurrent variant needs P=(x,y) at offset 20"),
+        ("variant=concurrent  P= (1,\n",
+         "config line 1: expected 'int', found 'end of input' at offset 26"),
+    ])
+    def test_config_error_names_line_and_column(self, text, message, capsys, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        assert main(["desargues", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error[ExpressionSyntaxError]: {message}\n"
+
     def test_loader_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(CONCURRENT_CONFIG)
@@ -293,6 +368,11 @@ class TestExitCodeMatrix:
         (["construct", "add", "--a", "2", "--b", "3", "--aux", "(4,0)"], 3),
         (["verify", "--family", "A", "--base", "3,1,5", "--count", "5"], 0),
         (["verify", "--family", "A", "--base", "3,1,0", "--count", "5"], 3),
+        (["eval", "--backend", f"gfp({PSI12})", f"(399165290221 mod {PSI12})^-1"], 2),
+        (["eval", "--backend", f"gfp({PSI13})", f"1 mod {PSI13}"], 2),
+        (["construct", "add", "--a", "1" + "0" * 400, "--b", "1", "--aux", "(0,1)",
+          "--svg", os.devnull], 2),
+        (["eval", f"{DIGITS_3000}*{DIGITS_3000}"], 2),
     ])
     def test_matrix(self, argv, expected, capsys):
         assert main(argv) == expected
@@ -306,3 +386,43 @@ class TestExitCodeMatrix:
         with pytest.raises(SystemExit) as excinfo:
             main(["transmogrify"])
         assert excinfo.value.code == 2
+
+
+_LITERALS = {
+    "rational": ["0", "1", "2", "-3", "2/3"],
+    "gfp(5)": ["0 mod 5", "1 mod 5", "3 mod 5"],
+    "quaternion": ["(0,0,0,0)", "(1,0,0,0)", "(0,1,0,0)", "(1,2,0,-1)"],
+}
+_SYMBOLS = ["+", "-", "*", "^-1", "(", ")", ",", ";", ":", "cr(", "r(", "map(A;", "map(D;", " "]
+
+
+def _eval_inputs(literals):
+    """Arbitrary text, token soup, and well-formed expressions over ``literals``."""
+    grammatical = st.recursive(st.sampled_from(literals), lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("({0[0]} {0[1]} {0[2]})".format),
+        inner.map("({})^-1".format),
+        inner.map("-({})".format),
+        st.tuples(inner, inner).map("r({0[0]}:{0[1]})".format),
+        st.tuples(inner, inner, inner, inner).map("cr({0[0]},{0[1]};{0[2]},{0[3]})".format),
+        st.tuples(st.sampled_from("ABCD"), inner, inner, inner, inner).map(
+            "map({0[0]}; {0[1]},{0[2]},{0[3]}; {0[4]})".format),
+    ), max_leaves=6)
+    tokens = st.lists(st.sampled_from(literals + _SYMBOLS), max_size=20).map("".join)
+    return st.one_of(st.text(max_size=30), tokens, grammatical)
+
+
+class TestEvalExitContract:
+    """Whatever ``eval`` is given, it ends in 0, 2 or 3, with one error line."""
+
+    @pytest.mark.parametrize("backend", sorted(_LITERALS))
+    @given(data=st.data())
+    def test_exit_code_and_error_line(self, backend, data):
+        text = data.draw(_eval_inputs(_LITERALS[backend]))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["eval", "--backend", backend, "--", text])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue().startswith("error[") and err.getvalue().count("\n") == 1

@@ -12,6 +12,7 @@ from skewplane.scalars import (
     Rational,
     RationalField,
     RationalQuaternion,
+    PRIMALITY_BOUND,
     is_prime,
 )
 
@@ -93,6 +94,16 @@ class TestPrimeField:
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert is_prime(2 ** 31 - 1)
         assert not is_prime(2 ** 31)
+
+    def test_is_prime_near_its_bound(self):
+        # psi_12 passes the bases up to 37 and is caught by base 41; psi_13
+        # passes all 13 bases, so is_prime refuses to answer from there on.
+        assert not is_prime(399165290221 * 798330580441)
+        assert PRIMALITY_BOUND == 1287836182261 * 2575672364521
+        assert is_prime(2 ** 61 - 1)
+        for n in (PRIMALITY_BOUND, 2 ** 89 - 1):
+            with pytest.raises(ValueError, match="decided only below"):
+                is_prime(n)
 
 
 # Hamilton table for the eight signed units, frozen by hand.
