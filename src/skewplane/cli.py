@@ -30,7 +30,6 @@ from .constructions import (
     PARALLEL,
     DesarguesConfig,
     LineFrame,
-    check_desargues,
     trace_addition,
     trace_multiplication,
     validate_desargues_config,
@@ -51,7 +50,7 @@ from .maps import (
     verify_distributive,
     verify_multiplicative_group,
 )
-from .plane import is_parallel, line_through
+from .plane import is_parallel
 from .scalars import PrimeField, QuaternionField, RationalField, ScalarField
 from .selftest import run_selftest
 from .svg import emit_svg
@@ -183,13 +182,12 @@ def _cmd_construct(args) -> int:
         frame = LineFrame.canonical(field)
     tracer = trace_addition if args.op == "add" else trace_multiplication
     trace = tracer(frame, frame.embed(a), frame.embed(b), aux)
-    print(f"B1 = {trace.aux}")
-    print(f"P1 = {trace.p1}")
-    print(f"result = {trace.result}")
-    print(f"coordinate = {frame.extract(trace.result)}")
-    if args.svg:
+    lines = [f"B1 = {trace.aux}", f"P1 = {trace.p1}", f"result = {trace.result}",
+             f"coordinate = {frame.extract(trace.result)}"]
+    if args.svg:  # a drawing that fails leaves stdout empty
         emit_svg(trace, args.svg)
-        print(f"svg written to {args.svg}")
+        lines.append(f"svg written to {args.svg}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -215,7 +213,7 @@ def _cmd_verify(args) -> int:
 def _cmd_desargues(args) -> int:
     field = parse_backend(args.backend)
     cfg = load_desargues_config(args.config, field)
-    validate_desargues_config(cfg)
+    ac, apcp = validate_desargues_config(cfg)
     print(f"variant: {cfg.variant}")
     if cfg.variant == CONCURRENT:
         print(f"joining lines AA', BB', CC' concurrent at {cfg.center}: ok")
@@ -223,13 +221,10 @@ def _cmd_desargues(args) -> int:
         print("joining lines AA', BB', CC' parallel: ok")
     print("AB parallel A'B' and distinct: ok")
     print("BC parallel B'C' and distinct: ok")
-    conclusion = check_desargues(cfg)
-    ac = line_through(cfg.a, cfg.c)
-    apcp = line_through(cfg.ap, cfg.cp)
+    conclusion = is_parallel(ac, apcp)
     print(f"AC direction ({ac.direction[0]},{ac.direction[1]}), "
           f"A'C' direction ({apcp.direction[0]},{apcp.direction[1]})")
     print(f"conclusion AC parallel A'C': {'true' if conclusion else 'false'}")
-    assert conclusion == is_parallel(ac, apcp)
     return EXIT_OK if conclusion else EXIT_CHECK_FAILED
 
 

@@ -214,8 +214,11 @@ class DesarguesConfig:
             raise InvalidConfigurationError("concurrent variant needs a center point")
 
 
-def _config_lines(cfg: DesarguesConfig):
-    """All nine lines of the configuration, or a named validation error."""
+def validate_desargues_config(cfg: DesarguesConfig) -> Tuple[PlaneLine, PlaneLine]:
+    """Check every hypothesis of the axiom; raise naming the first failure.
+
+    Returns the lines AC and A'C' whose parallelism is the conclusion.
+    """
     try:
         axes = (line_through(cfg.a, cfg.ap),
                 line_through(cfg.b, cfg.bp),
@@ -225,12 +228,6 @@ def _config_lines(cfg: DesarguesConfig):
         ac, apcp = line_through(cfg.a, cfg.c), line_through(cfg.ap, cfg.cp)
     except CoincidentPointsError as exc:
         raise InvalidConfigurationError(f"coincident labeled points: {exc}") from exc
-    return axes, (ab, apbp), (bc, bpcp), (ac, apcp)
-
-
-def validate_desargues_config(cfg: DesarguesConfig) -> None:
-    """Check every hypothesis of the axiom; raise naming the first failure."""
-    axes, (ab, apbp), (bc, bpcp), _ = _config_lines(cfg)
     names = ("AA'", "BB'", "CC'")
     for i in range(3):
         for j in range(i + 1, 3):
@@ -253,13 +250,12 @@ def validate_desargues_config(cfg: DesarguesConfig) -> None:
         raise InvalidConfigurationError("side BC is not parallel to B'C'")
     if bc == bpcp:
         raise InvalidConfigurationError("sides BC and B'C' coincide")
+    return ac, apcp
 
 
 def check_desargues(cfg: DesarguesConfig) -> bool:
     """Validate the hypotheses, then test the conclusion AC parallel A'C'."""
-    validate_desargues_config(cfg)
-    _, _, _, (ac, apcp) = _config_lines(cfg)
-    return is_parallel(ac, apcp)
+    return is_parallel(*validate_desargues_config(cfg))
 
 
 def generate_desargues_config(field: ScalarField, variant: str,

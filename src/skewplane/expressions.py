@@ -122,6 +122,8 @@ Node = Union[Literal, Add, Sub, Mul, Neg, Inv, Ratio2, Ratio3,
 # tokenizer
 
 _SYMBOLS = "(),;:+-*/="
+#: ASCII only: ``str.isdigit`` also takes other scripts' digits and "²".
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,9 @@ def _tokenize(text: str) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(_Token("int", text[start:i], start))
             continue

@@ -9,10 +9,12 @@ The three backends are
 
 Every operation is exact; floating point is banned from the core, so all
 comparisons are exact structural equality on canonical forms.  Values are
-immutable and safe to share.  Scalars from different backends never mix:
-any cross-backend operation raises :class:`BackendMismatchError`.  Plain
-``int`` operands are accepted everywhere (the integers embed canonically
-in any skew field).
+immutable and safe to share.  :class:`SkewScalar` states the rules all
+backends share: plain ``int`` operands are accepted everywhere (the
+integers embed canonically in any skew field), and scalars from different
+backends never mix: any cross-backend operation raises
+:class:`BackendMismatchError`.  A backend supplies only its storage, its
+arithmetic, a canonical ``_key`` and, where needed, ``_from_int``.
 
 Rational values are stored as ``gmpy2.mpq`` when available (exact and
 roughly 15x faster) and fall back to :class:`fractions.Fraction`; both
@@ -64,9 +66,11 @@ def _rat_str(value) -> str:
 class SkewScalar(ABC):
     """An element of the active skew field.
 
-    Concrete subclasses implement ``+``, unary ``-``, ``*``, ``inverse``,
-    ``conjugate``, ``is_zero`` and structural equality.  Subtraction is
-    derived.  Multiplication is NOT assumed commutative anywhere.
+    A backend implements ``+``, unary ``-``, ``*``, ``inverse``,
+    ``is_zero`` and ``_key``; this class derives subtraction, the reflected
+    operators, ``==`` and ``hash`` over ``_key``, an identity ``conjugate``,
+    and ``_coerce``, the one operand rule, which embeds ints by ``_from_int``.
+    Multiplication is NOT assumed commutative anywhere.
     """
 
     __slots__ = ()
@@ -85,12 +89,54 @@ class SkewScalar(ABC):
         """Two-sided multiplicative inverse; raises ZeroInverseError on 0."""
 
     @abstractmethod
+    def is_zero(self) -> bool: ...
+
+    @abstractmethod
+    def _key(self):
+        """The canonical form: two values are equal iff their keys are."""
+
+    def _from_int(self, n: int):
+        """``n`` in this backend; override it if ``n`` alone builds no value."""
+        return self.__class__(n)
+
     def conjugate(self):
         """The standard involution: quaternion conjugation, identity on
         commutative backends.  Satisfies conj(a*b) = conj(b)*conj(a)."""
+        return self
 
-    @abstractmethod
-    def is_zero(self) -> bool: ...
+    def _coerce(self, other):
+        """Return ``other`` as a same-backend scalar, ``None`` if alien.
+
+        Raises BackendMismatchError when ``other`` is a scalar of a
+        different backend (mixing is a hard error, never a silent cast).
+        """
+        if isinstance(other, self.__class__):
+            return other
+        if isinstance(other, int):
+            return self._from_int(other)
+        if isinstance(other, SkewScalar):
+            raise BackendMismatchError(
+                f"cannot combine {self.__class__.__name__} with "
+                f"{other.__class__.__name__} value {other!r}")
+        return None
+
+    def __eq__(self, other) -> bool:
+        coerced = self._coerce(other)
+        if coerced is None:
+            return NotImplemented
+        return self._key() == coerced._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle write the slots here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def __sub__(self, other):
         coerced = self._coerce(other)
@@ -99,10 +145,7 @@ class SkewScalar(ABC):
         return self + (-coerced)
 
     def __rsub__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced + (-self)
+        return (-self).__add__(other)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -115,22 +158,6 @@ class SkewScalar(ABC):
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    @abstractmethod
-    def _coerce(self, other):
-        """Return ``other`` as a same-backend scalar, ``None`` if alien.
-
-        Raises BackendMismatchError when ``other`` is a scalar of a
-        different backend (mixing is a hard error, never a silent cast).
-        """
-
-
-def _reject_cross_backend(own, other) -> None:
-    if isinstance(other, SkewScalar):
-        raise BackendMismatchError(
-            f"cannot combine {own.__class__.__name__} with "
-            f"{other.__class__.__name__} value {other!r}"
-        )
 
 
 class Rational(SkewScalar):
@@ -162,13 +189,8 @@ class Rational(SkewScalar):
     def denominator(self) -> int:
         return int(self._v.denominator)
 
-    def _coerce(self, other):
-        if isinstance(other, Rational):
-            return other
-        if isinstance(other, int):
-            return Rational._wrap(_to_rat(other))
-        _reject_cross_backend(self, other)
-        return None
+    def _key(self):
+        return self._v
 
     def __add__(self, other):
         coerced = self._coerce(other)
@@ -190,22 +212,15 @@ class Rational(SkewScalar):
             raise ZeroInverseError("0 has no multiplicative inverse")
         return Rational._wrap(1 / self._v)
 
-    def conjugate(self) -> "Rational":
-        return self
-
     def is_zero(self) -> bool:
         return not self._v
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Rational):
+        if isinstance(other, Rational):  # fast path of the base rule
             return self._v == other._v
-        if isinstance(other, int):
-            return self._v == other
-        _reject_cross_backend(self, other)
-        return NotImplemented
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash(self._v)
+    __hash__ = SkewScalar.__hash__
 
     def __str__(self) -> str:
         return _rat_str(self._v)
@@ -238,10 +253,13 @@ class PrimeFieldElement(SkewScalar):
                     f"GF({self.modulus}) and GF({other.modulus}) elements cannot mix"
                 )
             return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.modulus)
-        _reject_cross_backend(self, other)
-        return None
+        return super()._coerce(other)
+
+    def _key(self):
+        return (self.residue, self.modulus)
+
+    def _from_int(self, n: int) -> "PrimeFieldElement":
+        return PrimeFieldElement(int(n), self.modulus)  # the constructor refuses bool
 
     def __add__(self, other):
         coerced = self._coerce(other)
@@ -263,26 +281,15 @@ class PrimeFieldElement(SkewScalar):
             raise ZeroInverseError(f"0 mod {self.modulus} has no inverse")
         return PrimeFieldElement(pow(self.residue, -1, self.modulus), self.modulus)
 
-    def conjugate(self) -> "PrimeFieldElement":
-        return self
-
     def is_zero(self) -> bool:
         return self.residue == 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PrimeFieldElement):
-            if other.modulus != self.modulus:
-                raise BackendMismatchError(
-                    f"GF({self.modulus}) and GF({other.modulus}) elements cannot mix"
-                )
-            return self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.modulus
-        _reject_cross_backend(self, other)
-        return NotImplemented
+        if isinstance(other, PrimeFieldElement) and other.modulus == self.modulus:
+            return self.residue == other.residue  # fast path of the base rule
+        return super().__eq__(other)
 
-    def __hash__(self):
-        return hash((self.residue, self.modulus))
+    __hash__ = SkewScalar.__hash__
 
     def __str__(self) -> str:
         return f"{self.residue} mod {self.modulus}"
@@ -323,14 +330,7 @@ class RationalQuaternion(SkewScalar):
         """The (w, x, y, z) coefficients as exact rationals."""
         return (self.w, self.x, self.y, self.z)
 
-    def _coerce(self, other):
-        if isinstance(other, RationalQuaternion):
-            return other
-        if isinstance(other, int):
-            zero = _to_rat(0)
-            return RationalQuaternion._wrap(_to_rat(other), zero, zero, zero)
-        _reject_cross_backend(self, other)
-        return None
+    _key = components
 
     def __add__(self, other):
         coerced = self._coerce(other)
@@ -374,18 +374,6 @@ class RationalQuaternion(SkewScalar):
 
     def is_zero(self) -> bool:
         return not (self.w or self.x or self.y or self.z)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalQuaternion):
-            return (self.w == other.w and self.x == other.x
-                    and self.y == other.y and self.z == other.z)
-        if isinstance(other, int):
-            return self.w == other and not (self.x or self.y or self.z)
-        _reject_cross_backend(self, other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z))
 
     def __str__(self) -> str:
         return "({},{},{},{})".format(*map(_rat_str, self.components()))
@@ -453,13 +441,13 @@ class ScalarField(ABC):
     name: str = ""
 
     @abstractmethod
-    def zero(self) -> SkewScalar: ...
-
-    @abstractmethod
-    def one(self) -> SkewScalar: ...
-
-    @abstractmethod
     def from_int(self, n: int) -> SkewScalar: ...
+
+    def zero(self) -> SkewScalar:
+        return self.from_int(0)
+
+    def one(self) -> SkewScalar:
+        return self.from_int(1)
 
     @abstractmethod
     def random_element(self, rng) -> SkewScalar:
@@ -489,12 +477,6 @@ class RationalField(ScalarField):
 
     name = "rational"
 
-    def zero(self) -> Rational:
-        return Rational(0)
-
-    def one(self) -> Rational:
-        return Rational(1)
-
     def from_int(self, n: int) -> Rational:
         return Rational(n)
 
@@ -513,12 +495,6 @@ class PrimeField(ScalarField):
         self.p = p
         self.name = f"gfp({p})"
 
-    def zero(self) -> PrimeFieldElement:
-        return PrimeFieldElement(0, self.p)
-
-    def one(self) -> PrimeFieldElement:
-        return PrimeFieldElement(1, self.p)
-
     def from_int(self, n: int) -> PrimeFieldElement:
         return PrimeFieldElement(n, self.p)
 
@@ -535,12 +511,6 @@ class QuaternionField(ScalarField):
 
     commutative = False
     name = "quaternion"
-
-    def zero(self) -> RationalQuaternion:
-        return RationalQuaternion(0)
-
-    def one(self) -> RationalQuaternion:
-        return RationalQuaternion(1)
 
     def from_int(self, n: int) -> RationalQuaternion:
         return RationalQuaternion(n)

@@ -168,15 +168,19 @@ def plane_axiom_failure(field: PrimeField) -> Optional[str]:
 # construction oracle
 
 
+#: Auxiliary points tried per operand pair by the construction oracle.
+AUX_PER_CASE = 3
+
+
 def construction_oracle_failure(field: ScalarField, rng: random.Random,
-                                count: int, aux_per_case: int = 3) -> Optional[str]:
+                                count: int) -> Optional[str]:
     """Geometric add/mul vs. backend arithmetic on random operand pairs."""
     frame = LineFrame.canonical(field)
     for _ in range(count):
         a = field.random_element(rng)
         b = field.random_element(rng)
         pa, pb = frame.embed(a), frame.embed(b)
-        for _ in range(aux_per_case):
+        for _ in range(AUX_PER_CASE):
             aux = PlanePoint(field.random_element(rng), field.random_nonzero(rng))
             got_add = frame.extract(geometric_add(frame, pa, pb, aux))
             if got_add != a + b:

@@ -120,6 +120,9 @@ class TestBadLiterals:
     ] + [
         (["eval", "--", make(MAX_DEPTH + 1)], offset)
         for make, offset in DEPTH_SHAPES.values()
+    ] + [
+        (["eval", "\u0663+1"], 0),  # ARABIC-INDIC DIGIT THREE
+        (["eval", "\u00b2+1"], 0),  # SUPERSCRIPT TWO
     ])
     def test_positioned_usage_error(self, argv, offset, capsys):
         assert main(argv) == 2
@@ -225,6 +228,18 @@ class TestConstructCommand:
                      "--svg", str(tmp_path / "q.svg")])
         assert code == 2
         assert "UnsupportedBackendError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,error", [
+        (["add", "--a", "1" + "0" * 400, "--b", "1", "--aux", "(0,1)"], "UsageError"),
+        (["mul", "--backend", "quaternion", "--a", "(0,1,0,0)", "--b", "(0,0,1,0)",
+          "--aux", "((0,0,0,0),(1,0,0,0))"], "UnsupportedBackendError"),
+    ])
+    def test_failed_svg_prints_nothing(self, argv, error, capsys, tmp_path):
+        svg_path = tmp_path / "out.svg"
+        assert main(["construct", *argv, "--svg", str(svg_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error[{error}]: ")
+        assert not svg_path.exists()
 
     def test_quaternion_construct_without_svg(self, capsys):
         code = main(["construct", "mul", "--backend", "quaternion",

@@ -1,5 +1,9 @@
 """Backend arithmetic: canonical forms, exactness, and skew-field laws."""
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
@@ -13,6 +17,7 @@ from skewplane.scalars import (
     RationalField,
     RationalQuaternion,
     PRIMALITY_BOUND,
+    ensure_same_backend,
     is_prime,
 )
 
@@ -178,6 +183,56 @@ class TestBackendMismatch:
     def test_equality_mismatch_raises(self):
         with pytest.raises(BackendMismatchError):
             Rational(1) == RationalQuaternion(1)
+
+
+#: Per backend: its field, the value 3 built without ``from_int``, the hash
+#: of its canonical key, and one of its slots.
+PROTOCOL_CASES = {
+    "rational": (RationalField(), Rational(6, 2), hash(Fraction(3)), "_v"),
+    "gfp(5)": (PrimeField(5), PrimeFieldElement(8, 5), hash((3, 5)), "residue"),
+    "quaternion": (QuaternionField(), RationalQuaternion(Rational(6, 2)),
+                   hash((Fraction(3), Fraction(0), Fraction(0), Fraction(0))), "w"),
+}
+#: One field per backend, GF(5) and GF(7) counting as two.
+FIELDS = [RationalField(), PrimeField(5), PrimeField(7), QuaternionField()]
+
+
+class TestScalarProtocol:
+    """What every backend shares: int operands, equality and hashing, the
+    no-mixing rule, and immutability."""
+
+    @pytest.mark.parametrize("backend", PROTOCOL_CASES)
+    def test_shared_rules(self, backend):
+        field, same, key_hash, slot = PROTOCOL_CASES[backend]
+        three = field.from_int(3)
+        assert three == 3 and 3 == three and three != 4 and three + True == 4
+        assert 5 - three == 2 and three - 1 == 2 and 2 * three == three * 2 == 6
+        assert three == same and hash(three) == hash(same) == key_hash
+        assert {same: "ok"}[three] == "ok"
+        for alien in ("3", 3.0, None):
+            assert three != alien and three.__eq__(alien) is NotImplemented
+            with pytest.raises(TypeError):
+                three + alien
+        for other_field in FIELDS:
+            if other_field == field:
+                continue
+            other = other_field.one()
+            if isinstance(other, PrimeFieldElement) and isinstance(three, PrimeFieldElement):
+                message = f"GF({three.modulus}) and GF({other.modulus}) elements cannot mix"
+            else:
+                message = (f"cannot combine {type(three).__name__} with "
+                           f"{type(other).__name__} value {other!r}")
+            for mix in (three.__eq__, three.__add__, three.__mul__, three.__rsub__,
+                        lambda o: ensure_same_backend(three, o)):
+                with pytest.raises(BackendMismatchError) as caught:
+                    mix(other)
+                assert str(caught.value) == message
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(three, slot, getattr(same, slot) + 1)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(three, slot)
+        assert three == 3 and str(three) == str(same)
+        assert copy.deepcopy(three) == pickle.loads(pickle.dumps(three)) == three
 
 
 class TestRationalLaws:
