@@ -71,6 +71,8 @@ def parse_backend(name: str) -> ScalarField:
     if text.startswith("gfp(") and text.endswith(")"):
         body = text[4:-1]
         try:
+            if not (body.isascii() and body.isdigit()):  # 0-9 only, as in literals
+                raise ValueError
             p = int(body)
         except ValueError:
             raise ExpressionSyntaxError(f"bad prime {body!r} in backend selector", 4) from None

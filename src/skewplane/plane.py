@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import CoincidentPointsError, IdenticalLinesError, ParallelLinesError
-from .scalars import SkewScalar, ensure_same_backend
+from .scalars import Immutable, SkewScalar, ensure_same_backend
 
 Direction = Tuple[SkewScalar, SkewScalar]
 
@@ -56,7 +56,7 @@ def scale_direction(t: SkewScalar, direction: Direction) -> Direction:
     return (t * direction[0], t * direction[1])
 
 
-class PlaneLine:
+class PlaneLine(Immutable):
     """A line in parametric form with canonical direction and anchor.
 
     The normalized direction is either (1, m) or (0, 1).  The anchor is
@@ -84,9 +84,6 @@ class PlaneLine:
             anchor = PlanePoint(base.x, base.y - base.y)
         object.__setattr__(self, "base", anchor)
         object.__setattr__(self, "direction", norm_dir)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneLine is immutable")
 
     def point_at(self, t: SkewScalar) -> PlanePoint:
         """The point base + t * direction."""

@@ -16,13 +16,23 @@ backends never mix: any cross-backend operation raises
 :class:`BackendMismatchError`.  A backend supplies only its storage, its
 arithmetic, a canonical ``_key`` and, where needed, ``_from_int``.
 
+Scalars share dicts and sets only with scalars.  ``==`` embeds an ``int``,
+but only :class:`Rational` hashes like the embedded ``int``: for GF(p) no
+hash can agree with every int of a residue class, so ``3 in
+{RationalQuaternion(3)}`` is False although ``RationalQuaternion(3) == 3``.
+
 Rational values are stored as ``gmpy2.mpq`` when available (exact and
 roughly 15x faster) and fall back to :class:`fractions.Fraction`; both
-keep gcd-reduced canonical form with a positive denominator.
+keep gcd-reduced canonical form with a positive denominator.  Quaternions
+do their arithmetic on plain integers, four numerators over one positive
+common denominator that shares no factor with all of them (a canonical
+form), memoize their hash, and use the rational type only for their
+component views.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from abc import ABC, abstractmethod
 from fractions import Fraction
@@ -63,7 +73,26 @@ def _rat_str(value) -> str:
             f"{sys.get_int_max_str_digits()} digits") from None
 
 
-class SkewScalar(ABC):
+class Immutable:
+    """Slotted values that refuse assignment and deletion of attributes.
+
+    Constructors write their slots with ``object.__setattr__``; copy and
+    pickle restore them through ``__setstate__``, past the guard.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class SkewScalar(Immutable, ABC):
     """An element of the active skew field.
 
     A backend implements ``+``, unary ``-``, ``*``, ``inverse``,
@@ -128,15 +157,6 @@ class SkewScalar(ABC):
 
     def __hash__(self):
         return hash(self._key())
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{self.__class__.__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __setstate__(self, state):  # copy and pickle write the slots here
-        for name, value in state[1].items():
-            object.__setattr__(self, name, value)
 
     def __sub__(self, other):
         coerced = self._coerce(other)
@@ -301,34 +321,56 @@ class PrimeFieldElement(SkewScalar):
 class RationalQuaternion(SkewScalar):
     """A quaternion w + x*i + y*j + z*k with exact rational coefficients.
 
-    Equality is componentwise on canonical rationals.  The norm
+    The value is stored as four integers ``_n`` over one positive
+    denominator ``_d`` whose gcd with all four is 1 (zero is
+    ``((0, 0, 0, 0), 1)``), so the form is canonical and equality compares
+    integers.  Each operation reduces its result with at most one gcd.
+    ``w``, ``x``, ``y``, ``z`` and ``components()`` are exact rational
+    views; the hash is that of ``components()``, memoized in ``_hash``
+    because verifiers key dicts by quaternions.  The norm
     w^2 + x^2 + y^2 + z^2 vanishes only at zero, which guarantees every
     nonzero element is invertible: q^-1 = conjugate(q) / norm(q), exactly.
     Multiplication follows the Hamilton table (i*j = k, j*i = -k, ...)
     and is the package's working witness of non-commutativity.
     """
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ("_n", "_d", "_hash")
 
     def __init__(self, w: RationalLike = 0, x: RationalLike = 0,
                  y: RationalLike = 0, z: RationalLike = 0):
-        for name, component in (("w", w), ("x", x), ("y", y), ("z", z)):
-            if isinstance(component, Rational):
-                component = component._v
-            object.__setattr__(self, name, _to_rat(component))
+        parts = [_to_rat(c._v if isinstance(c, Rational) else c) for c in (w, x, y, z)]
+        # reduced components: the lcm of their denominators is already canonical
+        d = math.lcm(*(int(p.denominator) for p in parts))
+        object.__setattr__(self, "_n", tuple(
+            int(p.numerator) * (d // int(p.denominator)) for p in parts))
+        object.__setattr__(self, "_d", d)
 
     @classmethod
-    def _wrap(cls, w, x, y, z) -> "RationalQuaternion":
+    def _wrap(cls, n, d) -> "RationalQuaternion":
+        """The value n / d, which must already be canonical."""
         out = object.__new__(cls)
-        object.__setattr__(out, "w", w)
-        object.__setattr__(out, "x", x)
-        object.__setattr__(out, "y", y)
-        object.__setattr__(out, "z", z)
+        object.__setattr__(out, "_n", n)
+        object.__setattr__(out, "_d", d)
         return out
+
+    @classmethod
+    def _reduce(cls, a, b, c, e, d) -> "RationalQuaternion":
+        """The value (a, b, c, e) / d for d > 0, divided by their one gcd."""
+        g = math.gcd(a, b, c, e, d)
+        if g != 1:
+            a, b, c, e, d = a // g, b // g, c // g, e // g, d // g
+        return cls._wrap((a, b, c, e), d)
+
+    w = property(lambda self: _RAT(self._n[0], self._d), doc="The real part.")
+    x = property(lambda self: _RAT(self._n[1], self._d), doc="The i coefficient.")
+    y = property(lambda self: _RAT(self._n[2], self._d), doc="The j coefficient.")
+    z = property(lambda self: _RAT(self._n[3], self._d), doc="The k coefficient.")
 
     def components(self):
         """The (w, x, y, z) coefficients as exact rationals."""
-        return (self.w, self.x, self.y, self.z)
+        a, b, c, e = self._n
+        d = self._d
+        return (_RAT(a, d), _RAT(b, d), _RAT(c, d), _RAT(e, d))
 
     _key = components
 
@@ -336,44 +378,64 @@ class RationalQuaternion(SkewScalar):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return RationalQuaternion._wrap(
-            self.w + coerced.w, self.x + coerced.x,
-            self.y + coerced.y, self.z + coerced.z,
-        )
+        a, b, c, e = self._n
+        f, g, h, k = coerced._n
+        d1, d2 = self._d, coerced._d
+        if d1 == d2:
+            return RationalQuaternion._reduce(a + f, b + g, c + h, e + k, d1)
+        return RationalQuaternion._reduce(a * d2 + f * d1, b * d2 + g * d1,
+                                          c * d2 + h * d1, e * d2 + k * d1, d1 * d2)
 
     def __neg__(self):
-        return RationalQuaternion._wrap(-self.w, -self.x, -self.y, -self.z)
+        a, b, c, e = self._n
+        return RationalQuaternion._wrap((-a, -b, -c, -e), self._d)
 
     def __mul__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = coerced.w, coerced.x, coerced.y, coerced.z
-        return RationalQuaternion._wrap(
+        a, b, c, d = self._n
+        e, f, g, h = coerced._n
+        return RationalQuaternion._reduce(
             a * e - b * f - c * g - d * h,
             a * f + b * e + c * h - d * g,
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
+            self._d * coerced._d,
         )
 
     def norm(self):
         """The reduced norm w^2 + x^2 + y^2 + z^2 (an exact rational)."""
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        a, b, c, e = self._n
+        return _RAT(a * a + b * b + c * c + e * e, self._d * self._d)
 
     def conjugate(self) -> "RationalQuaternion":
-        return RationalQuaternion._wrap(self.w, -self.x, -self.y, -self.z)
+        a, b, c, e = self._n
+        return RationalQuaternion._wrap((a, -b, -c, -e), self._d)
 
     def inverse(self) -> "RationalQuaternion":
-        n = self.norm()
+        a, b, c, e = self._n
+        n = a * a + b * b + c * c + e * e
         if not n:
             raise ZeroInverseError("zero quaternion has no inverse")
-        return RationalQuaternion._wrap(
-            self.w / n, -self.x / n, -self.y / n, -self.z / n
-        )
+        d = self._d
+        return RationalQuaternion._reduce(a * d, -b * d, -c * d, -e * d, n)
 
     def is_zero(self) -> bool:
-        return not (self.w or self.x or self.y or self.z)
+        return not any(self._n)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RationalQuaternion):  # fast path of the base rule
+            return self._d == other._d and self._n == other._n
+        return super().__eq__(other)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # first call; numeric hashes are not randomized
+            value = hash(self.components())
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __str__(self) -> str:
         return "({},{},{},{})".format(*map(_rat_str, self.components()))

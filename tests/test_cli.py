@@ -130,6 +130,14 @@ class TestBadLiterals:
         assert err.startswith("error[ExpressionSyntaxError]: ")
         assert err.endswith(f" at offset {offset}\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("body", ["\u0663", "1_3", " +7 "])
+    def test_bad_prime_is_positioned_usage_error(self, body, capsys):
+        # int() reads each of these; the selector takes ASCII 0-9 only
+        assert main(["eval", "--backend", f"gfp({body})", "2 mod 3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error[ExpressionSyntaxError]: bad prime {body!r} in backend selector"
+            " at offset 4\n")
+
     @pytest.mark.parametrize("shape", DEPTH_SHAPES)
     def test_depth_cap_is_accepted(self, shape, capsys):
         text = DEPTH_SHAPES[shape][0](MAX_DEPTH)

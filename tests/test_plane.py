@@ -1,5 +1,7 @@
 """Plane primitives: lines, parallels, incidence and closed-form intersections."""
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -60,6 +62,23 @@ class TestLineThrough:
         assert rational_line((0, 0), (2, 2)) == rational_line((3, 3), (-1, -1))
         assert hash(rational_line((0, 0), (2, 2))) == hash(rational_line((3, 3), (-1, -1)))
         assert rational_line((0, 0), (1, 1)) != rational_line((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("backend", ["rational", "quaternion"])
+    def test_copy_and_pickle(self, backend):
+        if backend == "rational":
+            line = rational_line((0, 0), (1, 2))
+        else:
+            field = QuaternionField()
+            line = line_through(PlanePoint(field.i(), field.one()),
+                                PlanePoint(field.j(), -field.k()))
+        key = hash(line)  # memoizes the hash of every quaternion coordinate
+        for twin in (copy.deepcopy(line), pickle.loads(pickle.dumps(line))):
+            assert twin == line and hash(twin) == key
+            assert str(twin) == str(line) and on_line(twin.base, line)
+        with pytest.raises(AttributeError, match="immutable"):
+            line.base = line.base
+        with pytest.raises(AttributeError, match="immutable"):
+            del line.base
 
     def test_quaternion_direction_normalization(self):
         field = QuaternionField()

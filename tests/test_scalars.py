@@ -1,14 +1,17 @@
 """Backend arithmetic: canonical forms, exactness, and skew-field laws."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import nonzero_quaternions, nonzero_rationals, quaternions, rationals
 from skewplane.errors import BackendMismatchError, ZeroInverseError
+from skewplane.expressions import parse_scalar
 from skewplane.scalars import (
     PrimeField,
     PrimeFieldElement,
@@ -280,6 +283,68 @@ class TestQuaternionLaws:
     @given(quaternions(), quaternions())
     def test_conjugation_reverses_products(self, a, b):
         assert (a * b).conjugate() == b.conjugate() * a.conjugate()
+
+
+#: Quaternions as plain (w, x, y, z) tuples of Fractions.
+fraction_quads = st.tuples(*[st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))] * 4)
+
+
+def _hamilton(p, q):
+    """The Hamilton product of two Fraction 4-tuples (the reference)."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+def _canonical(q):
+    """``q`` after checking its integer form: d > 0, gcd of all five is 1."""
+    assert q._d > 0 and math.gcd(*q._n, q._d) == 1
+    return q
+
+
+class TestQuaternionStorage:
+    """Four integers over one denominator, against a Fraction reference."""
+
+    @given(fraction_quads, fraction_quads)
+    def test_arithmetic_matches_fraction_reference(self, p, q):
+        a, b = RationalQuaternion(*p), RationalQuaternion(*q)
+        conj = (p[0], -p[1], -p[2], -p[3])
+        norm = sum(c * c for c in p)
+        assert _canonical(a + b).components() == tuple(map(add, p, q))
+        assert _canonical(a - b).components() == tuple(map(sub, p, q))
+        assert _canonical(-a).components() == tuple(-c for c in p)
+        assert _canonical(a * b).components() == _hamilton(p, q)
+        assert _canonical(a.conjugate()).components() == conj
+        assert a.norm() == norm and type(a.norm()) is type(a.w)
+        if norm:
+            assert _canonical(a.inverse()).components() == tuple(c / norm for c in conj)
+        assert (a.w, a.x, a.y, a.z) == a.components() == p
+
+    @given(fraction_quads, fraction_quads)
+    def test_routes_to_one_value_compare_and_hash_equal(self, p, q):
+        a, b = RationalQuaternion(*p), RationalQuaternion(*q)
+        routes = [((a + b) - b, a), (b * a - b * a + a, a), (a + a, 2 * a),
+                  (RationalQuaternion(*a.components()), a),
+                  (RationalQuaternion(*(Rational(c.numerator, c.denominator) for c in p)), a),
+                  (a - a, RationalQuaternion(0))]
+        if not a.is_zero():
+            routes.append((a * a.inverse(), RationalQuaternion(1)))
+        for first, second in routes:
+            assert first == second and hash(first) == hash(second)
+        assert hash(a) == hash(a.components()) == hash(p)
+
+    @given(fraction_quads)
+    def test_str_round_trips_through_the_parser(self, p):
+        a = RationalQuaternion(*p)
+        assert parse_scalar(str(a), QuaternionField()) == a
+
+    @given(fraction_quads)
+    def test_memoized_hash_survives_copy_and_pickle(self, p):
+        a = RationalQuaternion(*p)
+        key = hash(a)
+        for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert twin == a and hash(twin) == twin._hash == key == hash(p)
 
 
 class TestFields:
