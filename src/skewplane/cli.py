@@ -36,6 +36,7 @@ from .constructions import (
 )
 from .errors import DegenerateInputError, ExpressionSyntaxError, UsageError
 from .expressions import (
+    _DIGITS,
     evaluate_expression,
     parse_expression,
     parse_point,
@@ -71,7 +72,7 @@ def parse_backend(name: str) -> ScalarField:
     if text.startswith("gfp(") and text.endswith(")"):
         body = text[4:-1]
         try:
-            if not (body.isascii() and body.isdigit()):  # 0-9 only, as in literals
+            if not body or not set(body) <= _DIGITS:  # as in literals
                 raise ValueError
             p = int(body)
         except ValueError:

@@ -381,8 +381,6 @@ class RationalQuaternion(SkewScalar):
         a, b, c, e = self._n
         f, g, h, k = coerced._n
         d1, d2 = self._d, coerced._d
-        if d1 == d2:
-            return RationalQuaternion._reduce(a + f, b + g, c + h, e + k, d1)
         return RationalQuaternion._reduce(a * d2 + f * d1, b * d2 + g * d1,
                                           c * d2 + h * d1, e * d2 + k * d1, d1 * d2)
 
@@ -432,10 +430,15 @@ class RationalQuaternion(SkewScalar):
     def __hash__(self):
         try:
             return self._hash
-        except AttributeError:  # first call; numeric hashes are not randomized
+        except AttributeError:  # first call
             value = hash(self.components())
             object.__setattr__(self, "_hash", value)
             return value
+
+    def __reduce__(self):
+        # the memo stays out of copies and pickles: hash values of numbers
+        # differ between builds (``sys.hash_info``) and Python versions
+        return (RationalQuaternion._wrap, (self._n, self._d))
 
     def __str__(self) -> str:
         return "({},{},{},{})".format(*map(_rat_str, self.components()))

@@ -344,6 +344,7 @@ class TestQuaternionStorage:
         a = RationalQuaternion(*p)
         key = hash(a)
         for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert not hasattr(twin, "_hash")  # recomputed, never carried over
             assert twin == a and hash(twin) == twin._hash == key == hash(p)
 
 
