@@ -197,6 +197,8 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     field = parse_backend(args.backend)
     points = parse_scalar_list(args.base, field)
+    if len(points) != 3:
+        raise ExpressionSyntaxError(f"expected 3 base points, found {len(points)}", 0)
     base = CrossRatioBase(Family(args.family), points)
     plain = sample_arguments(field, base, args.count, args.seed)
     invertible = sample_arguments(field, base, args.count, args.seed + 1,

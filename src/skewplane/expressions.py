@@ -27,10 +27,11 @@ the printer produces for negative literal values.
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .errors import ExpressionSyntaxError
 from .maps import CrossRatioBase, Family
@@ -38,6 +39,7 @@ from .maps import evaluate as map_evaluate
 from .plane import PlanePoint
 from .ratios import cross_ratio, ratio2, ratio3
 from .scalars import (
+    Immutable,
     PrimeField,
     QuaternionField,
     Rational,
@@ -51,71 +53,55 @@ from .scalars import (
 # AST
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: SkewScalar
+class Node(Immutable):
+    """An expression node: its operands in ``args``.
+
+    Each kind is one row made by ``_node``: ``form`` is the printed text
+    as a ``str.format`` template over the printed operands, ``apply``
+    maps the evaluated operands to the node's value, and ``arity`` is the
+    operand count.  An operand that is no node (a literal's value, a
+    map's family) is printed and applied as it is.  ``==``, ``hash`` and
+    ``repr`` are over the kind and the operands.
+    """
+
+    __slots__ = ("args",)
+
+    def __init__(self, *args):
+        object.__setattr__(self, "args", args)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.args == other.args
+
+    def __hash__(self):
+        return hash((type(self), self.args))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
+def _node(name: str, form: str, apply, **namespace) -> type:
+    return type(name, (Node,), dict(namespace, __slots__=(), form=form,
+                                    apply=staticmethod(apply), arity=form.count("{")))
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Inv:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class Ratio2:
-    a: "Node"
-    b: "Node"
-
-
-@dataclass(frozen=True)
-class Ratio3:
-    a: "Node"
-    b: "Node"
-    c: "Node"
-
-
-@dataclass(frozen=True)
-class CrossRatioNode:
-    a: "Node"
-    b: "Node"
-    c: "Node"
-    d: "Node"
-
-
-@dataclass(frozen=True)
-class MapNode:
-    family: Family
-    p1: "Node"
-    p2: "Node"
-    p3: "Node"
-    x: "Node"
-
-
-Node = Union[Literal, Add, Sub, Mul, Neg, Inv, Ratio2, Ratio3,
-             CrossRatioNode, MapNode]
+Literal = _node("Literal", "{}", lambda value: value,
+                value=property(lambda self: self.args[0]))
+Add = _node("Add", "({} + {})", operator.add)
+Sub = _node("Sub", "({} - {})", operator.sub)
+Mul = _node("Mul", "({} * {})", operator.mul)
+Neg = _node("Neg", "-({})", operator.neg)
+Inv = _node("Inv", "({})^-1", lambda value: value.inverse())
+# The rows below look their functions up when called, not when built, so
+# that a name patched in this module (a call tracer) is seen.
+Ratio2 = _node("Ratio2", "r({}:{})", lambda a, b: ratio2(a, b))
+Ratio3 = _node("Ratio3", "r({},{};{})", lambda a, b, c: ratio3(a, b, c))
+CrossRatioNode = _node("CrossRatioNode", "cr({},{};{},{})",
+                       lambda a, b, c, d: cross_ratio(a, b, c, d))
+MapNode = _node("MapNode", "map({.value}; {},{},{}; {})",
+                lambda family, p1, p2, p3, x: map_evaluate(
+                    CrossRatioBase(family, (p1, p2, p3)), x))
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +112,8 @@ _SYMBOLS = "(),;:+-*/="
 _DIGITS = frozenset("0123456789")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "ident", "invop", a symbol character, or "end"
-    text: str
-    pos: int
+#: ``kind`` is "int", "ident", "invop", a symbol character, or "end".
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -445,72 +428,25 @@ def parse_scalar_list(text: str, field: ScalarField) -> Tuple[SkewScalar, ...]:
 
 
 # ---------------------------------------------------------------------------
-# printer
+# printer and evaluator
 
 def print_expression(node: Node) -> str:
     """Fully parenthesized text that parses back to the same AST."""
-    if isinstance(node, Literal):
-        return str(node.value)
-    if isinstance(node, Add):
-        return f"({print_expression(node.left)} + {print_expression(node.right)})"
-    if isinstance(node, Sub):
-        return f"({print_expression(node.left)} - {print_expression(node.right)})"
-    if isinstance(node, Mul):
-        return f"({print_expression(node.left)} * {print_expression(node.right)})"
-    if isinstance(node, Neg):
-        return f"-({print_expression(node.operand)})"
-    if isinstance(node, Inv):
-        return f"({print_expression(node.operand)})^-1"
-    if isinstance(node, Ratio2):
-        return f"r({print_expression(node.a)}:{print_expression(node.b)})"
-    if isinstance(node, Ratio3):
-        return (f"r({print_expression(node.a)},{print_expression(node.b)};"
-                f"{print_expression(node.c)})")
-    if isinstance(node, CrossRatioNode):
-        return (f"cr({print_expression(node.a)},{print_expression(node.b)};"
-                f"{print_expression(node.c)},{print_expression(node.d)})")
-    if isinstance(node, MapNode):
-        return (f"map({node.family.value}; {print_expression(node.p1)},"
-                f"{print_expression(node.p2)},{print_expression(node.p3)}; "
-                f"{print_expression(node.x)})")
-    raise TypeError(f"not an expression node: {node!r}")
+    return node.form.format(*(print_expression(arg) if isinstance(arg, Node) else arg
+                              for arg in node.args))
 
-
-# ---------------------------------------------------------------------------
-# evaluator
 
 def evaluate_expression(node: Node) -> SkewScalar:
     """Evaluate an AST with the core operations; core errors propagate."""
-    if isinstance(node, Literal):
-        return node.value
-    if isinstance(node, Add):
-        return evaluate_expression(node.left) + evaluate_expression(node.right)
-    if isinstance(node, Sub):
-        return evaluate_expression(node.left) - evaluate_expression(node.right)
-    if isinstance(node, Mul):
-        return evaluate_expression(node.left) * evaluate_expression(node.right)
-    if isinstance(node, Neg):
-        return -evaluate_expression(node.operand)
-    if isinstance(node, Inv):
-        return evaluate_expression(node.operand).inverse()
-    if isinstance(node, Ratio2):
-        return ratio2(evaluate_expression(node.a), evaluate_expression(node.b))
-    if isinstance(node, Ratio3):
-        return ratio3(evaluate_expression(node.a), evaluate_expression(node.b),
-                      evaluate_expression(node.c))
-    if isinstance(node, CrossRatioNode):
-        return cross_ratio(evaluate_expression(node.a), evaluate_expression(node.b),
-                           evaluate_expression(node.c), evaluate_expression(node.d))
-    if isinstance(node, MapNode):
-        base = CrossRatioBase(node.family, (
-            evaluate_expression(node.p1), evaluate_expression(node.p2),
-            evaluate_expression(node.p3)))
-        return map_evaluate(base, evaluate_expression(node.x))
-    raise TypeError(f"not an expression node: {node!r}")
+    return node.apply(*(evaluate_expression(arg) if isinstance(arg, Node) else arg
+                        for arg in node.args))
 
 
 # ---------------------------------------------------------------------------
 # random ASTs (drives the round-trip and CLI-equivalence suites)
+
+_RANDOM_KINDS = (Add, Sub, Mul, Neg, Inv, Ratio2, Ratio3, CrossRatioNode, MapNode)
+
 
 def random_expression(field: ScalarField, rng: random.Random, depth: int = 3) -> Node:
     """A random well-formed AST over the backend's literals.
@@ -521,31 +457,17 @@ def random_expression(field: ScalarField, rng: random.Random, depth: int = 3) ->
     """
     if depth <= 0 or rng.random() < 0.25:
         return Literal(field.random_element(rng))
-    kind = rng.choice(("add", "sub", "mul", "neg", "inv", "r2", "r3", "cr", "map"))
+    kind = rng.choice(_RANDOM_KINDS)
     sub = lambda: random_expression(field, rng, depth - 1)
-    if kind == "add":
-        return Add(sub(), sub())
-    if kind == "sub":
-        return Sub(sub(), sub())
-    if kind == "mul":
-        return Mul(sub(), sub())
-    if kind == "neg":
-        operand = sub()
-        if isinstance(operand, Literal):
-            return Literal(-operand.value)
-        return Neg(operand)
-    if kind == "inv":
-        return Inv(sub())
-    if kind == "r2":
-        return Ratio2(sub(), sub())
-    if kind == "r3":
-        return Ratio3(sub(), sub(), sub())
-    if kind == "cr":
-        return CrossRatioNode(sub(), sub(), sub(), sub())
-    points = []
-    while len(points) < 3:
-        candidate = field.random_nonzero(rng)
-        if all(candidate != existing for existing in points):
-            points.append(candidate)
-    return MapNode(rng.choice(list(Family)), Literal(points[0]),
-                   Literal(points[1]), Literal(points[2]), sub())
+    if kind is MapNode:
+        points = []
+        while len(points) < 3:
+            candidate = field.random_nonzero(rng)
+            if all(candidate != existing for existing in points):
+                points.append(candidate)
+        return MapNode(rng.choice(list(Family)), Literal(points[0]),
+                       Literal(points[1]), Literal(points[2]), sub())
+    node = kind(*(sub() for _ in range(kind.arity)))
+    if kind is Neg and isinstance(node.args[0], Literal):
+        return Literal(-node.args[0].value)
+    return node

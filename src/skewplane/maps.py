@@ -3,8 +3,9 @@
 Fixing three of the cross-ratio's four slots and letting the remaining
 slot range over the line yields four map families, tagged by the freed
 slot: A frees the first slot, B the second, C the third, D the fourth.
-All four share one evaluation engine parameterized by slot position; no
-family gets a hand-copied formula of its own.
+All four share one evaluation engine parameterized by slot position;
+only ``preimage`` solves each family's defining equation by a closed form
+of its own.
 
 For each family the module knows three distinguished arguments, all
 derived from the factored cross-ratio formula (a product vanishes only
@@ -353,8 +354,9 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
 
     Returns ``(status, witness)`` where status is ATTAINED (witness
     evaluates back to ``value``), NOT_ATTAINED (provably no valid
-    argument exists), or UNDECIDED (family A only: the associated
-    Sylvester identity degenerates and this solver does not decide).
+    argument exists), or UNDECIDED (family A only, for a value that is
+    not central: the associated Sylvester identity degenerates and this
+    solver does not decide).
     """
     _, one = _zero_one(base)
     if base.family is Family.A:
@@ -375,8 +377,10 @@ def _preimage_family_a(base: CrossRatioBase, w: SkewScalar):
 
     The reduction multiplies the characteristic identity of w through
     the equation: with t = w + conj(w) and n = w*conj(w) (both central),
-    (g*g - t*g + n) * Z = g*c - c*conj(w).  Degenerate psi means w is a
-    conjugacy class mate of g and the equation is not decided here.
+    (g*g - t*g + n) * Z = g*c - c*conj(w).  Degenerate psi with w central
+    means psi = (g - w)^2, so w = g, and g*(X - C) = w*(X - D) forces
+    C = D: no preimage (None).  Degenerate psi with w not central means w
+    is a conjugacy class mate of g and the equation is not decided here.
     """
     b_, c_, d_ = base.points
     g = (b_ - d_) * (b_ - c_).inverse()
@@ -384,7 +388,7 @@ def _preimage_family_a(base: CrossRatioBase, w: SkewScalar):
     conj = w.conjugate()
     psi = g * g - (w + conj) * g + w * conj
     if psi.is_zero():
-        return UNDECIDED
+        return None if w == conj else UNDECIDED
     return psi.inverse() * (g * c - c * conj)
 
 

@@ -123,6 +123,8 @@ class TestBadLiterals:
     ] + [
         (["eval", "\u0663+1"], 0),  # ARABIC-INDIC DIGIT THREE
         (["eval", "\u00b2+1"], 0),  # SUPERSCRIPT TWO
+        (["verify", "--family", "A", "--base", "1,2"], 0),
+        (["verify", "--family", "A", "--base", "1,2,3,4"], 0),
     ])
     def test_positioned_usage_error(self, argv, offset, capsys):
         assert main(argv) == 2

@@ -167,6 +167,46 @@ class TestEvaluation:
         assert ji == -QUAT.k()
 
 
+ONE, TWO, THREE, FIVE = (Literal(Rational(n)) for n in (1, 2, 3, 5))
+
+#: One row per node kind: a builder, the printed text, the value.
+NODE_TABLE = {
+    "Literal": (lambda: Literal(Rational(-2, 3)), "-2/3", Rational(-2, 3)),
+    "Add": (lambda: Add(TWO, THREE), "(2 + 3)", Rational(5)),
+    "Sub": (lambda: Sub(TWO, THREE), "(2 - 3)", Rational(-1)),
+    "Mul": (lambda: Mul(TWO, THREE), "(2 * 3)", Rational(6)),
+    "Neg": (lambda: Neg(TWO), "-(2)", Rational(-2)),
+    "Inv": (lambda: Inv(TWO), "(2)^-1", Rational(1, 2)),
+    "Ratio2": (lambda: Ratio2(THREE, TWO), "r(3:2)", Rational(3, 2)),
+    "Ratio3": (lambda: Ratio3(FIVE, THREE, TWO), "r(5,3;2)", Rational(3)),
+    "CrossRatioNode": (lambda: CrossRatioNode(TWO, THREE, ONE, FIVE),
+                       "cr(2,3;1,5)", Rational(1, 3)),
+    "MapNode": (lambda: MapNode(Family.A, THREE, ONE, FIVE, TWO),
+                "map(A; 3,1,5; 2)", Rational(1, 3)),
+}
+NODE_KINDS = (Literal, Add, Sub, Mul, Neg, Inv, Ratio2, Ratio3, CrossRatioNode, MapNode)
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("kind", NODE_TABLE)
+    def test_each_kind_prints_evaluates_and_compares(self, kind):
+        build, text, value = NODE_TABLE[kind]
+        node = build()
+        assert type(node).__name__ == kind
+        assert print_expression(node) == text
+        assert parse_expression(text, RATIONAL) == node
+        assert evaluate_expression(node) == value
+        twin = build()
+        assert twin is not node and twin == node and hash(twin) == hash(node)
+        for other in NODE_KINDS:  # e.g. Add(a, b) != Sub(a, b)
+            if other is not type(node):
+                assert other(*node.args) != node
+        with pytest.raises(AttributeError):
+            node.args = ()
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("field", [RATIONAL, GF5, QUAT], ids=lambda f: f.name)
     def test_generated_asts_round_trip(self, field):

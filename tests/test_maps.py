@@ -1,5 +1,7 @@
 """Cross-ratio map families: distinguished points, inverses, verifiers."""
 
+from itertools import permutations
+
 import pytest
 
 from skewplane.errors import (
@@ -26,7 +28,7 @@ from skewplane.maps import (
     zero_point,
 )
 from skewplane.ratios import cross_ratio
-from skewplane.scalars import QuaternionField, Rational
+from skewplane.scalars import PrimeField, QuaternionField, Rational
 
 
 def rational_base(family, p1, p2, p3):
@@ -267,6 +269,23 @@ class TestPreimageSolver:
                     else:
                         assert status == UNDECIDED
                         assert family is Family.A
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_every_base_matches_enumeration(self, p):
+        # every ordered base of GF(p) and every value: the solver decides
+        # each one, and agrees with enumerating the arguments
+        field = PrimeField(p)
+        nonzero = [x for x in field.elements() if not x.is_zero()]
+        for family in Family:
+            for points in permutations(nonzero, 3):
+                base = CrossRatioBase(family, points)
+                image = {evaluate(base, x) for x in field.elements()
+                         if x != singular_point(base)}
+                for w in field.elements():
+                    status, witness = preimage(base, w)
+                    assert status == (ATTAINED if w in image else NOT_ATTAINED), (base, w)
+                    if status == ATTAINED:
+                        assert evaluate(base, witness) == w
 
     def test_round_trip_through_map_values(self, any_field, rng):
         for family in Family:
