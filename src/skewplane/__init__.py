@@ -32,6 +32,7 @@ from .maps import (
     evaluate,
     exhaustive_arguments,
     inverse_value,
+    omitted_value,
     preimage,
     sample_arguments,
     singular_point,

@@ -7,6 +7,18 @@ All four share one evaluation engine parameterized by slot position;
 only ``preimage`` solves each family's defining equation by a closed form
 of its own.
 
+Each family's image is known exactly.  Families B, C and D take every
+value but one, ``omitted_value(base)``:
+
+    family B, base (A, C, D): (A-D)^-1 (A-C)
+    family C, base (A, B, D): (A-D)^-1 (B-D)
+    family D, base (A, B, C): (B-C)^-1 (A-C)
+
+Family A attains a value w exactly when psi = g g - t g + n is nonzero,
+where g = (B-D)(B-C)^-1, t = w + conj(w) and n = w conj(w); a vanishing
+psi at a central w is not attained, and at a non-central w (quaternion
+conjugates of g) it is left undecided.
+
 For each family the module knows three distinguished arguments, all
 derived from the factored cross-ratio formula (a product vanishes only
 when a factor does, because a skew field has no zero divisors):
@@ -28,9 +40,10 @@ can run them on user-supplied bases.  Each runner evaluates every sampled
 argument once and its identities share those values; the inverse law
 still checks inverse_value's own formula against them.  Verification never asserts set
 closure; instead each report records, informationally, how often sums
-and products of sampled map values are attained by the map again, using
-an exact preimage solver (closed forms where the defining equation
-linearizes, a quaternion Sylvester-equation identity for family A).
+and products of sampled map values are attained by the map again.  It
+decides that by image membership, with the constants computed once per
+base: one comparison with the omitted value (B, C, D) or one psi test
+(A) per pair, the same test ``preimage`` answers from.
 """
 
 from __future__ import annotations
@@ -349,86 +362,130 @@ NOT_ATTAINED = "not attained"
 UNDECIDED = "undecided"
 
 
+def omitted_value(base: CrossRatioBase) -> Optional[SkewScalar]:
+    """The one value the map never takes (table in the module docstring).
+
+    Families B, C and D each factor the map as a fixed product around a
+    term 1 + (nonzero)^-1 (nonzero), which takes every value but 1.
+    Family A has no single omitted value: None.
+    """
+    p0, p1, p2 = base.points
+    if base.family is Family.B:
+        return (p0 - p2).inverse() * (p0 - p1)
+    if base.family is Family.C:
+        return (p0 - p2).inverse() * (p1 - p2)
+    if base.family is Family.D:
+        return (p1 - p2).inverse() * (p0 - p2)
+    return None
+
+
+def _family_a_g(base: CrossRatioBase) -> SkewScalar:
+    """g = (B-D)(B-C)^-1: family A's map is X -> (X-D)^-1 g (X-C)."""
+    b_, c_, d_ = base.points
+    return (b_ - d_) * (b_ - c_).inverse()
+
+
+def _attainment(base: CrossRatioBase):
+    """The membership test of the base's image: value -> status.
+
+    Its constants are computed once per base, so a caller deciding many
+    values pays one comparison (families B, C, D) or one psi test
+    (family A) per value.
+
+    Family A: evaluate(base, Z) = w means g Z - Z w = g C - D w =: c.
+    With t = w + conj(w) and n = w conj(w) (both central), multiplying
+    the characteristic identity of w through it gives
+    psi Z = g c - c conj(w) for psi = g g - t g + n.  Nonzero psi means
+    a unique solution Z, and Z is never the singular point D (Z = D
+    would give g D = g C, so C = D): attained.  Zero psi with w central
+    means psi = (g - w)^2, so w = g, and g (X - C) = w (X - D) forces
+    C = D: not attained.  Zero psi with w not central means w is a
+    conjugacy class mate of g, which this test does not decide.
+    """
+    if base.family is not Family.A:
+        omitted = omitted_value(base)
+        return lambda w: NOT_ATTAINED if w == omitted else ATTAINED
+    g = _family_a_g(base)
+    gg = g * g
+
+    def status(w: SkewScalar) -> str:
+        conj = w.conjugate()
+        if not (gg - (w + conj) * g + w * conj).is_zero():
+            return ATTAINED
+        return NOT_ATTAINED if w == conj else UNDECIDED
+    return status
+
+
 def preimage(base: CrossRatioBase, value: SkewScalar):
     """Solve evaluate(base, X) = value for X, exactly.
 
-    Returns ``(status, witness)`` where status is ATTAINED (witness
-    evaluates back to ``value``), NOT_ATTAINED (provably no valid
-    argument exists), or UNDECIDED (family A only, for a value that is
-    not central: the associated Sylvester identity degenerates and this
-    solver does not decide).
+    Returns ``(status, witness)``.  The status comes from the image's
+    membership test: for families B, C and D the value is attained
+    unless it is ``omitted_value(base)``; for family A it is attained
+    when psi (see the module docstring) is nonzero, not attained when psi
+    vanishes at a central value, and UNDECIDED when psi vanishes at a
+    value that is not central (quaternions only).  Only an ATTAINED value
+    has a witness, solved in closed form and checked by evaluating it
+    back; a witness failing that check is a bug and raises.
     """
-    _, one = _zero_one(base)
+    status = _attainment(base)(value)
+    if status != ATTAINED:
+        return status, None
     if base.family is Family.A:
-        candidate = _preimage_family_a(base, value)
-        if candidate is UNDECIDED:
-            return UNDECIDED, None
+        witness = _witness_family_a(base, value)
     else:
-        candidate = _preimage_linear(base, value, one)
-    if candidate is None or candidate == singular_point(base):
-        return NOT_ATTAINED, None
-    if evaluate(base, candidate) == value:
-        return ATTAINED, candidate
-    return NOT_ATTAINED, None
+        witness = _witness_linear(base, value)
+    if witness == singular_point(base) or evaluate(base, witness) != value:  # pragma: no cover
+        raise AssertionError(f"preimage witness {witness} of {value} failed "
+                             f"its back-check, {base}")
+    return ATTAINED, witness
 
 
-def _preimage_family_a(base: CrossRatioBase, w: SkewScalar):
-    """Family A defining equation, reduced to g*Z - Z*w = g*C - D*w.
-
-    The reduction multiplies the characteristic identity of w through
-    the equation: with t = w + conj(w) and n = w*conj(w) (both central),
-    (g*g - t*g + n) * Z = g*c - c*conj(w).  Degenerate psi with w central
-    means psi = (g - w)^2, so w = g, and g*(X - C) = w*(X - D) forces
-    C = D: no preimage (None).  Degenerate psi with w not central means w
-    is a conjugacy class mate of g and the equation is not decided here.
-    """
-    b_, c_, d_ = base.points
-    g = (b_ - d_) * (b_ - c_).inverse()
+def _witness_family_a(base: CrossRatioBase, w: SkewScalar) -> SkewScalar:
+    """Family A, psi nonzero: Z = psi^-1 (g c - c conj(w)), c = g C - D w."""
+    _, c_, d_ = base.points
+    g = _family_a_g(base)
     c = g * c_ - d_ * w
     conj = w.conjugate()
     psi = g * g - (w + conj) * g + w * conj
-    if psi.is_zero():
-        return None if w == conj else UNDECIDED
     return psi.inverse() * (g * c - c * conj)
 
 
-def _preimage_linear(base: CrossRatioBase, w: SkewScalar, one: SkewScalar):
-    """Families B, C, D: the defining equation is linear in Z."""
+def _witness_linear(base: CrossRatioBase, w: SkewScalar) -> SkewScalar:
+    """Families B, C, D: the defining equation is linear in Z.
+
+    Each reduces to wp = 1 exactly at the omitted value, so for an
+    attained value the inverted (1 - wp) or (wp - 1) is nonzero.
+    """
+    _, one = _zero_one(base)
     p0, p1, p2 = base.points
     if base.family is Family.B:
         # (Z-D)(Z-C)^-1 = (A-D) w (A-C)^-1 =: wp;  (1-wp) Z = D - wp C
         a_, c_, d_ = p0, p1, p2
         wp = (a_ - d_) * w * (a_ - c_).inverse()
-        if wp == one:
-            return None
         return (one - wp).inverse() * (d_ - wp * c_)
     if base.family is Family.C:
         # (B-Z)^-1 (A-Z) = h^-1 w =: wp;  Z (wp - 1) = B wp - A
         a_, b_, d_ = p0, p1, p2
         h = (a_ - d_).inverse() * (b_ - d_)
         wp = h.inverse() * w
-        if wp == one:
-            return None
         return (b_ * wp - a_) * (wp - one).inverse()
     # Family D: (A-Z)^-1 (B-Z) = w k^-1 =: wp;  Z (wp - 1) = A wp - B
     a_, b_, c_ = p0, p1, p2
     k = (b_ - c_).inverse() * (a_ - c_)
     wp = w * k.inverse()
-    if wp == one:
-        return None
     return (a_ * wp - b_) * (wp - one).inverse()
 
 
 def _record_closure(report: VerificationReport, base: CrossRatioBase,
                     samples: SampleSet, v: Dict[SkewScalar, SkewScalar],
                     operation: str) -> None:
+    attainment = _attainment(base)
     tallies = {ATTAINED: 0, NOT_ATTAINED: 0, UNDECIDED: 0}
     count = 0
     for x, y in _rotations(samples.values, 2):
         left, right = v[x], v[y]
-        combined = left + right if operation == "+" else left * right
-        status, _ = preimage(base, combined)
-        tallies[status] += 1
+        tallies[attainment(left + right if operation == "+" else left * right)] += 1
         count += 1
     name = ("closure of sums under the map" if operation == "+"
             else "closure of products under the map")

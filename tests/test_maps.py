@@ -1,5 +1,8 @@
 """Cross-ratio map families: distinguished points, inverses, verifiers."""
 
+import operator
+import re
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -15,9 +18,11 @@ from skewplane.maps import (
     UNDECIDED,
     CrossRatioBase,
     Family,
+    SampleSet,
     evaluate,
     exhaustive_arguments,
     inverse_value,
+    omitted_value,
     preimage,
     sample_arguments,
     singular_point,
@@ -29,6 +34,9 @@ from skewplane.maps import (
 )
 from skewplane.ratios import cross_ratio
 from skewplane.scalars import PrimeField, QuaternionField, Rational
+
+#: The closure note as the benchmark and the CLI session checks parse it.
+CLOSURE_NOTE = re.compile(r"attained (\d+), no preimage (\d+), undecided (\d+)")
 
 
 def rational_base(family, p1, p2, p3):
@@ -299,3 +307,133 @@ class TestPreimageSolver:
                     continue
                 assert status == ATTAINED
                 assert evaluate(base, witness) == evaluate(base, x)
+
+
+class TestOmittedValue:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_image_is_the_line_minus_the_omitted_value(self, p):
+        field = PrimeField(p)
+        elements = set(field.elements())
+        nonzero = [x for x in elements if not x.is_zero()]
+        for family in (Family.B, Family.C, Family.D):
+            for points in permutations(nonzero, 3):
+                base = CrossRatioBase(family, points)
+                image = {evaluate(base, x) for x in elements
+                         if x != singular_point(base)}
+                assert image == elements - {omitted_value(base)}, base
+
+    def test_quaternion_omitted_value_has_no_preimage(self, quaternion_field, rng):
+        for family in (Family.B, Family.C, Family.D):
+            for _ in range(10):
+                base = random_base(quaternion_field, rng, family)
+                assert preimage(base, omitted_value(base)) == (NOT_ATTAINED, None)
+
+    def test_map_never_takes_the_omitted_value(self, any_field, rng):
+        for family in (Family.B, Family.C, Family.D):
+            for _ in range(5):
+                base = random_base(any_field, rng, family)
+                omitted = omitted_value(base)
+                for _ in range(20):
+                    x = any_field.random_element(rng)
+                    if x != singular_point(base):
+                        assert evaluate(base, x) != omitted
+
+    def test_family_a_has_none(self, any_field, rng):
+        assert omitted_value(random_base(any_field, rng, Family.A)) is None
+
+
+def closure_tallies(report):
+    """The (attained, no preimage, undecided) tallies of a report's closure line."""
+    closure = report.results[-1]
+    match = CLOSURE_NOTE.search(closure.line())
+    assert closure.informational and match, closure.line()
+    return tuple(int(t) for t in match.groups())
+
+
+class TestClosureRecord:
+    def test_note_keeps_its_parsed_form(self, any_field, rng):
+        # "undecided 0" is printed too: the three tallies always appear
+        for family in Family:
+            base = random_base(any_field, rng, family)
+            for verifier, exclude in ((verify_addition_structure, False),
+                                      (verify_multiplicative_group, True)):
+                samples = sample_arguments(any_field, base, 8,
+                                           seed=rng.randrange(10 ** 6),
+                                           exclude_zero_point=exclude)
+                report = verifier(base, samples)
+                assert sum(closure_tallies(report)) == report.results[-1].samples == 8
+
+    def test_worked_line(self, gf5):
+        base = CrossRatioBase(Family.A, tuple(gf5.from_int(n) for n in (1, 2, 3)))
+        report = verify_addition_structure(base, exhaustive_arguments(gf5, base))
+        assert report.lines()[-1] == (
+            "closure of sums under the map: samples=4 rejections=1 info "
+            "attained 3, no preimage 1, undecided 0 (recorded, not asserted)")
+
+    def test_tallies_match_preimage(self, any_field, rng):
+        for family in Family:
+            for _ in range(4):
+                base = random_base(any_field, rng, family)
+                for verifier, combine, exclude in (
+                        (verify_addition_structure, operator.add, False),
+                        (verify_multiplicative_group, operator.mul, True)):
+                    samples = sample_arguments(any_field, base, 10,
+                                               seed=rng.randrange(10 ** 6),
+                                               exclude_zero_point=exclude)
+                    values = samples.values
+                    statuses = Counter(
+                        preimage(base, combine(evaluate(base, x), evaluate(base, y)))[0]
+                        for x, y in zip(values, values[1:] + values[:1]))
+                    assert closure_tallies(verifier(base, samples)) == (
+                        statuses[ATTAINED], statuses[NOT_ATTAINED], statuses[UNDECIDED])
+
+    @staticmethod
+    def pair_reaching(base, left, target, verifier):
+        """The verifier's closure tallies on two arguments whose map values
+        add (or multiply, left first) to ``target``."""
+        if verifier is verify_addition_structure:
+            right = target - left
+        else:
+            right = left.inverse() * target
+        arguments = []
+        for value in (left, right):
+            status, witness = preimage(base, value)
+            assert status == ATTAINED
+            arguments.append(witness)
+        return closure_tallies(verifier(base, SampleSet(tuple(arguments))))
+
+    @staticmethod
+    def family_a_g(base):
+        b_, c_, d_ = base.points
+        return (b_ - d_) * (b_ - c_).inverse()
+
+    def test_family_a_central_g_has_no_preimage(self, gf5):
+        base = CrossRatioBase(Family.A, tuple(gf5.from_int(n) for n in (1, 2, 3)))
+        g = self.family_a_g(base)
+        assert preimage(base, g) == (NOT_ATTAINED, None)
+        assert self.pair_reaching(base, gf5.from_int(3), g,
+                                  verify_addition_structure) == (0, 2, 0)
+
+    def test_family_a_conjugate_of_g_is_undecided(self, quaternion_field):
+        q = quaternion_field
+        base = CrossRatioBase(Family.A, (q.i(), q.j(), q.k()))
+        g = self.family_a_g(base)
+        conjugator = q.one() + q.i()
+        target = conjugator * g * conjugator.inverse()
+        assert target != g
+        assert preimage(base, target) == (UNDECIDED, None)
+        # both products, v[x] v[y] and v[y] v[x], are conjugates of g
+        # |X-C| != |X-D|, so v[x] has norm 2/3, not g's 1, and is attained
+        left = evaluate(base, q.from_int(2) + q.j())
+        assert self.pair_reaching(base, left, target,
+                                  verify_multiplicative_group) == (0, 0, 2)
+
+    def test_family_a_nonvanishing_psi_is_attained(self, quaternion_field):
+        q = quaternion_field
+        base = CrossRatioBase(Family.A, (q.i(), q.j(), q.k()))
+        target = evaluate(base, q.from_int(3) + q.j())
+        status, witness = preimage(base, target)
+        assert status == ATTAINED and evaluate(base, witness) == target
+        left = evaluate(base, q.from_int(2) + q.j())
+        for verifier in (verify_addition_structure, verify_multiplicative_group):
+            assert self.pair_reaching(base, left, target, verifier) == (2, 0, 0)
