@@ -90,14 +90,12 @@ class LineFrame:
     def extract(self, point: PlanePoint) -> SkewScalar:
         """The coordinate of a point on the frame line (embed's inverse)."""
         vx, vy = self._axis
-        px = point.x - self.origin.x
-        py = point.y - self.origin.y
         if not vx.is_zero():
-            t = px * vx.inverse()
+            t = (point.x - self.origin.x) * vx.inverse()
             if self.origin.y + t * vy == point.y:
                 return t
         else:
-            t = py * vy.inverse()
+            t = (point.y - self.origin.y) * vy.inverse()
             if point.x == self.origin.x:
                 return t
         raise PointOffBaseLineError(f"{point} is not on the frame line")

@@ -6,13 +6,13 @@ normalized direction, with the scalar parameter acting on the LEFT,
     points of the line = { base + t * direction : t in the field }.
 
 Left action is one of the two legal conventions over a skew field; fixing
-it here fixes it for every other module.  Directions are normalized by
-left-multiplying with the inverse of the leading nonzero coordinate (so
-dx = 1, or dx = 0 and dy = 1), which turns parallelism into a plain
-equality test instead of a proportionality search in a non-commutative
-ring.  Lines additionally re-anchor their base point to a canonical
-representative, so structural equality of PlaneLine values coincides with
-geometric equality of the lines.
+it here fixes it for every other module.  Every line is stored in closed
+canonical form: a non-vertical line is y = b + x*m, with direction (1, m)
+for the left slope m = dx^-1 * dy and anchor (0, b), b = base.y - base.x*m;
+a vertical line x = c has direction (0, 1) and anchor (c, 0).  So
+parallelism is a plain equality of directions instead of a
+proportionality search in a non-commutative ring, and structural equality
+of PlaneLine values coincides with geometric equality of the lines.
 
 Intersections are closed forms on those canonical lines (see
 ``intersect``); each intersection point is re-checked against both lines
@@ -57,12 +57,12 @@ def scale_direction(t: SkewScalar, direction: Direction) -> Direction:
 
 
 class PlaneLine(Immutable):
-    """A line in parametric form with canonical direction and anchor.
+    """A line in canonical form, so two PlaneLine values compare equal
+    exactly when they denote the same set of points.
 
-    The normalized direction is either (1, m) or (0, 1).  The anchor is
-    the unique point of the line with x = 0 (when the line is not
-    vertical) or with y = 0 (vertical lines), so two PlaneLine values
-    compare equal exactly when they denote the same set of points.
+    A non-vertical line y = b + x*m has direction (1, m), m = dx^-1 * dy
+    (the left action), and anchor (0, b) with b = base.y - base.x*m; a
+    vertical line x = c has direction (0, 1) and anchor (c, 0).
     """
 
     __slots__ = ("base", "direction")
@@ -70,25 +70,19 @@ class PlaneLine(Immutable):
     def __init__(self, base: PlanePoint, direction: Direction):
         dx, dy = direction
         ensure_same_backend(base.x, base.y, dx, dy)
-        if dx.is_zero() and dy.is_zero():
-            raise ValueError("line direction must be nonzero")
         if not dx.is_zero():
-            inv = dx.inverse()
-            norm_dir = (inv * dx, inv * dy)  # (1, dx^-1 * dy)
-            # anchor at x = 0: parameter t = -base.x
-            t = -base.x
-            anchor = PlanePoint(base.x + t * norm_dir[0], base.y + t * norm_dir[1])
+            m = dx.inverse() * dy
+            self._set(PlanePoint(dx._from_int(0), base.y - base.x * m), (dx._from_int(1), m))
+        elif dy.is_zero():
+            raise ValueError("line direction must be nonzero")
         else:
-            inv = dy.inverse()
-            norm_dir = (dx - dx, inv * dy)  # (0, 1)
-            anchor = PlanePoint(base.x, base.y - base.y)
-        object.__setattr__(self, "base", anchor)
-        object.__setattr__(self, "direction", norm_dir)
+            self._set(PlanePoint(base.x, dx), (dx, dy._from_int(1)))
 
-    def point_at(self, t: SkewScalar) -> PlanePoint:
-        """The point base + t * direction."""
-        return PlanePoint(self.base.x + t * self.direction[0],
-                          self.base.y + t * self.direction[1])
+    def _set(self, anchor: PlanePoint, direction: Direction) -> "PlaneLine":
+        """Write the slots; anchor and direction are already canonical."""
+        object.__setattr__(self, "base", anchor)
+        object.__setattr__(self, "direction", direction)
+        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlaneLine):
@@ -113,8 +107,12 @@ def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
 
 
 def parallel_through(p: PlanePoint, line: PlaneLine) -> PlaneLine:
-    """The unique line through p with line's direction (line itself if p is on it)."""
-    return PlaneLine(p, line.direction)
+    """The line through p with line's canonical direction, reused as it is:
+    anchor (0, p.y - p.x*m), or (p.x, 0) for a vertical line."""
+    ensure_same_backend(p.x, *line.direction)
+    dx, m = line.direction
+    x, y = (p.x, line.base.y) if dx.is_zero() else (line.base.x, p.y - p.x * m)
+    return PlaneLine.__new__(PlaneLine)._set(PlanePoint(x, y), line.direction)
 
 
 def is_parallel(l1: PlaneLine, l2: PlaneLine) -> bool:
@@ -123,12 +121,12 @@ def is_parallel(l1: PlaneLine, l2: PlaneLine) -> bool:
 
 
 def on_line(p: PlanePoint, line: PlaneLine) -> bool:
-    """True iff base + t * direction = p is solvable for t."""
-    dx, dy = line.direction
-    if not dx.is_zero():  # dx == 1
-        t = p.x - line.base.x
-        return line.base.y + t * dy == p.y
-    return p.x == line.base.x
+    """True iff p lies on the line: p.y == b + p.x*m for the line
+    y = b + x*m with anchor (0, b), or p.x == c for a vertical line x = c."""
+    dx, m = line.direction
+    if dx.is_zero():
+        return p.x == line.base.x
+    return p.y == line.base.y + p.x * m
 
 
 def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
@@ -141,22 +139,24 @@ def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
 def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
     """The unique common point of two distinct non-parallel lines.
 
-    A vertical line x = c meets the other line at that line's point
-    with parameter c.  Otherwise b1 + x*m1 = b2 + x*m2 gives
+    With l1 the non-vertical line y = b1 + x*m1 (swapped in if needed),
+    the point is (x, b1 + x*m1): x = c if l2 is the vertical line x = c,
+    otherwise b1 + x*m1 = b2 + x*m2 gives
     x = (b2 - b1) * (m1 - m2)^-1: the parameter acts on the left, so the
     inverse divides on the right.
     """
-    if l1 == l2:
-        raise IdenticalLinesError(f"line {l1} intersected with itself")
-    if is_parallel(l1, l2):
+    if l1.direction == l2.direction:
+        if l1.base == l2.base:
+            raise IdenticalLinesError(f"line {l1} intersected with itself")
         raise ParallelLinesError(f"{l1} and {l2} are parallel and disjoint")
     if l1.direction[0].is_zero():
-        point = l2.point_at(l1.base.x)
-    elif l2.direction[0].is_zero():
-        point = l1.point_at(l2.base.x)
+        l1, l2 = l2, l1
+    b1, m1 = l1.base.y, l1.direction[1]
+    if l2.direction[0].is_zero():
+        x = l2.base.x
     else:
-        x = (l2.base.y - l1.base.y) * (l1.direction[1] - l2.direction[1]).inverse()
-        point = l1.point_at(x)
+        x = (l2.base.y - b1) * (m1 - l2.direction[1]).inverse()
+    point = PlanePoint(x, b1 + x * m1)
     if not (on_line(point, l1) and on_line(point, l2)):  # pragma: no cover
         raise AssertionError("intersection point failed containment check")
     return point

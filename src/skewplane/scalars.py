@@ -95,10 +95,10 @@ class Immutable:
 class SkewScalar(Immutable, ABC):
     """An element of the active skew field.
 
-    A backend implements ``+``, unary ``-``, ``*``, ``inverse``,
-    ``is_zero`` and ``_key``; this class derives subtraction, the reflected
-    operators, ``==`` and ``hash`` over ``_key``, an identity ``conjugate``,
-    and ``_coerce``, the one operand rule, which embeds ints by ``_from_int``.
+    A backend implements ``+``, ``-``, unary ``-``, ``*``, ``inverse``,
+    ``is_zero`` and ``_key``; this class derives the reflected operators,
+    ``==`` and ``hash`` over ``_key``, an identity ``conjugate``, and
+    ``_coerce``, the one operand rule, which embeds ints by ``_from_int``.
     Multiplication is NOT assumed commutative anywhere.
     """
 
@@ -106,6 +106,9 @@ class SkewScalar(Immutable, ABC):
 
     @abstractmethod
     def __add__(self, other): ...
+
+    @abstractmethod
+    def __sub__(self, other): ...
 
     @abstractmethod
     def __neg__(self): ...
@@ -157,12 +160,6 @@ class SkewScalar(Immutable, ABC):
 
     def __hash__(self):
         return hash(self._key())
-
-    def __sub__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self + (-coerced)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -217,6 +214,12 @@ class Rational(SkewScalar):
         if coerced is None:
             return NotImplemented
         return Rational._wrap(self._v + coerced._v)
+
+    def __sub__(self, other):
+        coerced = self._coerce(other)
+        if coerced is None:
+            return NotImplemented
+        return Rational._wrap(self._v - coerced._v)
 
     def __neg__(self):
         return Rational._wrap(-self._v)
@@ -286,6 +289,12 @@ class PrimeFieldElement(SkewScalar):
         if coerced is None:
             return NotImplemented
         return PrimeFieldElement(self.residue + coerced.residue, self.modulus)
+
+    def __sub__(self, other):
+        coerced = self._coerce(other)
+        if coerced is None:
+            return NotImplemented
+        return PrimeFieldElement(self.residue - coerced.residue, self.modulus)
 
     def __neg__(self):
         return PrimeFieldElement(-self.residue, self.modulus)
@@ -374,6 +383,9 @@ class RationalQuaternion(SkewScalar):
 
     _key = components
 
+    def _from_int(self, n: int) -> "RationalQuaternion":
+        return RationalQuaternion._wrap((int(n), 0, 0, 0), 1)  # canonical as it is
+
     def __add__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
@@ -383,6 +395,16 @@ class RationalQuaternion(SkewScalar):
         d1, d2 = self._d, coerced._d
         return RationalQuaternion._reduce(a * d2 + f * d1, b * d2 + g * d1,
                                           c * d2 + h * d1, e * d2 + k * d1, d1 * d2)
+
+    def __sub__(self, other):
+        coerced = self._coerce(other)
+        if coerced is None:
+            return NotImplemented
+        a, b, c, e = self._n
+        f, g, h, k = coerced._n
+        d1, d2 = self._d, coerced._d
+        return RationalQuaternion._reduce(a * d2 - f * d1, b * d2 - g * d1,
+                                          c * d2 - h * d1, e * d2 - k * d1, d1 * d2)
 
     def __neg__(self):
         a, b, c, e = self._n
