@@ -29,7 +29,6 @@ return is a bug alarm, not a geometric discovery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import (
@@ -52,7 +51,7 @@ from .plane import (
     parallel_through,
     scale_direction,
 )
-from .scalars import ScalarField, SkewScalar
+from .scalars import Immutable, Record, ScalarField, SkewScalar
 
 PARALLEL = "parallel"
 CONCURRENT = "concurrent"
@@ -104,19 +103,16 @@ class LineFrame:
         return f"LineFrame(O={self.origin}, I={self.unit})"
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(Immutable, Record):
     """Every intermediate object of one add/mul construction, for
-    diagnostics and drawing."""
+    diagnostics and drawing; ``kind`` is "add" or "mul"."""
 
-    kind: str  # "add" or "mul"
-    frame: LineFrame
-    a: PlanePoint
-    b: PlanePoint
-    aux: PlanePoint
-    p1: PlanePoint
-    result: PlanePoint
-    lines: Tuple[Tuple[str, PlaneLine], ...]
+    __slots__ = ("kind", "frame", "a", "b", "aux", "p1", "result", "lines")
+
+    def __init__(self, kind: str, frame: LineFrame, a: PlanePoint, b: PlanePoint,
+                 aux: PlanePoint, p1: PlanePoint, result: PlanePoint,
+                 lines: Tuple[Tuple[str, PlaneLine], ...]):
+        self._init(kind, frame, a, b, aux, p1, result, lines)
 
 
 def _check_construction_inputs(frame: LineFrame, a: PlanePoint, b: PlanePoint,
@@ -187,8 +183,7 @@ def geometric_mul(frame: LineFrame, a: PlanePoint, b: PlanePoint,
     return trace_multiplication(frame, a, b, aux).result
 
 
-@dataclass(frozen=True)
-class DesarguesConfig:
+class DesarguesConfig(Immutable, Record):
     """Two labeled triangles forming a Desarguesian vertex pair.
 
     ``ap``, ``bp``, ``cp`` are the primed vertices A', B', C'.  The
@@ -196,19 +191,15 @@ class DesarguesConfig:
     all parallel, or concurrent at ``center``.
     """
 
-    a: PlanePoint
-    b: PlanePoint
-    c: PlanePoint
-    ap: PlanePoint
-    bp: PlanePoint
-    cp: PlanePoint
-    variant: str  # PARALLEL or CONCURRENT
-    center: Optional[PlanePoint] = None
+    __slots__ = ("a", "b", "c", "ap", "bp", "cp", "variant", "center")
 
-    def __post_init__(self):
-        if self.variant not in (PARALLEL, CONCURRENT):
-            raise InvalidConfigurationError(f"unknown variant {self.variant!r}")
-        if self.variant == CONCURRENT and self.center is None:
+    def __init__(self, a: PlanePoint, b: PlanePoint, c: PlanePoint, ap: PlanePoint,
+                 bp: PlanePoint, cp: PlanePoint, variant: str,
+                 center: Optional[PlanePoint] = None):
+        self._init(a, b, c, ap, bp, cp, variant, center)
+        if variant not in (PARALLEL, CONCURRENT):
+            raise InvalidConfigurationError(f"unknown variant {variant!r}")
+        if variant == CONCURRENT and center is None:
             raise InvalidConfigurationError("concurrent variant needs a center point")
 
 

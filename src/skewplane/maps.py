@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -59,7 +58,7 @@ from .errors import (
     ZeroValueNotInvertibleError,
 )
 from .ratios import cross_ratio
-from .scalars import ScalarField, SkewScalar
+from .scalars import Immutable, Record, ScalarField, SkewScalar
 
 
 class Family(enum.Enum):
@@ -79,8 +78,7 @@ _ZERO_INDEX = {Family.A: 1, Family.B: 2, Family.C: 0, Family.D: 1}
 _UNIT_INDEX = {Family.A: 0, Family.B: 0, Family.C: 2, Family.D: 2}
 
 
-@dataclass(frozen=True)
-class CrossRatioBase:
+class CrossRatioBase(Immutable, Record):
     """A family tag plus its three fixed points, in cross-ratio slot order.
 
     The standing hypothesis of every verified theorem applies: the three
@@ -88,10 +86,10 @@ class CrossRatioBase:
     element of the field.
     """
 
-    family: Family
-    points: Tuple[SkewScalar, SkewScalar, SkewScalar]
+    __slots__ = ("family", "points")
 
-    def __post_init__(self):
+    def __init__(self, family: Family, points: Tuple[SkewScalar, SkewScalar, SkewScalar]):
+        self._init(family, points)
         if len(self.points) != 3:
             raise InvalidBaseError("a cross-ratio base fixes exactly three points")
         p, q, r = self.points
@@ -154,8 +152,7 @@ def inverse_value(base: CrossRatioBase, x: SkewScalar) -> SkewScalar:
 # sample sets
 
 
-@dataclass(frozen=True)
-class SampleSet:
+class SampleSet(Immutable, Record):
     """Arguments to drive a verification run, with rejection bookkeeping.
 
     ``rejections`` counts draws that hit an excluded point (the singular
@@ -164,8 +161,10 @@ class SampleSet:
     verifier, which keeps the reported statistics honest.
     """
 
-    values: Tuple[SkewScalar, ...]
-    rejections: int = 0
+    __slots__ = ("values", "rejections")
+
+    def __init__(self, values: Tuple[SkewScalar, ...], rejections: int = 0):
+        self._init(values, rejections)
 
 
 def sample_arguments(field: ScalarField, base: CrossRatioBase, count: int,
@@ -206,17 +205,23 @@ def exhaustive_arguments(field: ScalarField, base: CrossRatioBase,
 # verification reports
 
 
-@dataclass
-class IdentityResult:
+class IdentityResult(Record):
     """Outcome of one identity over one sample set."""
 
-    name: str
-    samples: int
-    rejections: int
-    passed: bool
-    counterexample: Optional[str] = None
-    informational: bool = False
-    note: Optional[str] = None
+    __slots__ = ("name", "samples", "rejections", "passed", "counterexample",
+                 "informational", "note")
+    __hash__ = None
+
+    def __init__(self, name: str, samples: int, rejections: int, passed: bool,
+                 counterexample: Optional[str] = None, informational: bool = False,
+                 note: Optional[str] = None):
+        self.name = name
+        self.samples = samples
+        self.rejections = rejections
+        self.passed = passed
+        self.counterexample = counterexample
+        self.informational = informational
+        self.note = note
 
     def line(self) -> str:
         if self.informational:
@@ -228,12 +233,15 @@ class IdentityResult:
         return f"{self.name}: samples={self.samples} rejections={self.rejections} {status}"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """All identity outcomes of one verification run."""
 
-    title: str
-    results: List[IdentityResult] = dataclass_field(default_factory=list)
+    __slots__ = ("title", "results")
+    __hash__ = None
+
+    def __init__(self, title: str, results: Optional[List[IdentityResult]] = None):
+        self.title = title
+        self.results = [] if results is None else results
 
     @property
     def passed(self) -> bool:

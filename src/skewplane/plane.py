@@ -21,24 +21,32 @@ before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import CoincidentPointsError, IdenticalLinesError, ParallelLinesError
-from .scalars import Immutable, SkewScalar, ensure_same_backend
+from .scalars import Immutable, Record, SkewScalar, ensure_same_backend
 
 Direction = Tuple[SkewScalar, SkewScalar]
 
 
-@dataclass(frozen=True)
-class PlanePoint:
+class PlanePoint(Immutable, Record):
     """A point of the plane; both coordinates from the same backend."""
 
-    x: SkewScalar
-    y: SkewScalar
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        ensure_same_backend(self.x, self.y)
+    # written out rather than derived: every construction step calls these
+    def __init__(self, x: SkewScalar, y: SkewScalar):
+        ensure_same_backend(x, y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.x, self.y) == (other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def displacement_to(self, other: "PlanePoint") -> Direction:
         """The direction vector other - self."""

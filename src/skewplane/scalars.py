@@ -92,6 +92,38 @@ class Immutable:
             object.__setattr__(self, name, value)
 
 
+class Record:
+    """Slotted records whose ``__slots__`` name the fields in constructor order.
+
+    Derives ``==`` (records of the same class, field by field, else
+    ``NotImplemented``), a hash over the field tuple and the repr
+    ``Name(field=value, ...)``.  A frozen record also derives from
+    :class:`Immutable`; a mutable one sets ``__hash__ = None``.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        """Write a frozen record's fields, past :class:`Immutable`'s guard."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 class SkewScalar(Immutable, ABC):
     """An element of the active skew field.
 

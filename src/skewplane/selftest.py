@@ -11,7 +11,6 @@ seed; a given (seed, count) pair always runs the same checks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional
 
@@ -40,15 +39,19 @@ from .scalars import (
     PrimeField,
     QuaternionField,
     RationalField,
+    Record,
     ScalarField,
 )
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str
+class SuiteResult(Record):
+    __slots__ = ("name", "passed", "detail")
+    __hash__ = None
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"

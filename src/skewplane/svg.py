@@ -4,7 +4,8 @@ Drawing needs coordinates that embed in the real plane, so only the
 rational backend is drawable; quaternion or prime-field traces raise
 UnsupportedBackendError.  Exact coordinates are converted to floats at
 this boundary only (the core never touches floating point); one too
-large for a float is a UsageError.
+large for a float, or a drawing whose padded extent or scale is not a
+finite float, is a UsageError.
 
 The output is byte-deterministic for identical input: a fixed canvas,
 a viewport autoscaled to the bounding box of the labeled points plus a
@@ -13,6 +14,7 @@ a viewport autoscaled to the bounding box of the labeled points plus a
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 from .constructions import ConstructionTrace
@@ -88,6 +90,9 @@ def render_construction(trace: ConstructionTrace) -> str:
     y_min, y_max = y_min - pad_y, y_max + pad_y
 
     scale = min(CANVAS_W / (x_max - x_min), CANVAS_H / (y_max - y_min))
+    if not all(map(math.isfinite, (x_max - x_min, y_max - y_min, scale))):
+        raise UsageError("SVG output needs the padded drawing and its scale "
+                         "within the float range")
     offset_x = (CANVAS_W - (x_max - x_min) * scale) / 2.0
     offset_y = (CANVAS_H - (y_max - y_min) * scale) / 2.0
 

@@ -4,6 +4,8 @@ import io
 import os
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from skewplane.plane import PlanePoint
 from skewplane.scalars import PrimeField, QuaternionField, Rational, RationalField
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 #: A config file whose second line holds the Latin-1 byte 0xE9 at offset 13.
 LATIN1_CONFIG = str(Path(__file__).resolve().parent / "data" / "latin1.cfg")
 
@@ -243,6 +246,7 @@ class TestConstructCommand:
         (["add", "--a", "1" + "0" * 400, "--b", "1", "--aux", "(0,1)"], "UsageError"),
         (["mul", "--backend", "quaternion", "--a", "(0,1,0,0)", "--b", "(0,0,1,0)",
           "--aux", "((0,0,0,0),(1,0,0,0))"], "UnsupportedBackendError"),
+        (["add", "--a", "1" + "0" * 308, "--b=-1" + "0" * 308, "--aux", "(0,1)"], "UsageError"),
     ])
     def test_failed_svg_prints_nothing(self, argv, error, capsys, tmp_path):
         svg_path = tmp_path / "out.svg"
@@ -451,3 +455,14 @@ class TestEvalExitContract:
             assert err.getvalue() == "" and out.getvalue().count("\n") == 1
         else:
             assert err.getvalue().startswith("error[") and err.getvalue().count("\n") == 1
+
+
+class TestStartup:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        """Each CLI call is a fresh process, so what importing the CLI
+        pulls in is paid on every call; ``-S`` keeps site's imports out."""
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import skewplane.cli; "
+                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
