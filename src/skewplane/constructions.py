@@ -57,11 +57,12 @@ PARALLEL = "parallel"
 CONCURRENT = "concurrent"
 
 
-class LineFrame:
+class LineFrame(Immutable, Record):
     """A distinguished line with a zero point O and a unit point I.
 
     The canonical frame is O=(0,0), I=(1,0); arbitrary frames are
     accepted and the embed/extract pair stays exact in all of them.
+    O and I decide ``==`` and the hash; ``line`` and ``_axis`` derive from them.
     """
 
     __slots__ = ("origin", "unit", "line", "_axis")
@@ -69,10 +70,10 @@ class LineFrame:
     def __init__(self, origin: PlanePoint, unit: PlanePoint):
         if origin == unit:
             raise CoincidentPointsError("frame needs two distinct points O and I")
-        self.origin = origin
-        self.unit = unit
-        self.line = line_through(origin, unit)
-        self._axis = origin.displacement_to(unit)
+        self._init(origin, unit, line_through(origin, unit), origin.displacement_to(unit))
+
+    def _values(self) -> tuple:
+        return (self.origin, self.unit)
 
     @classmethod
     def canonical(cls, field: ScalarField) -> "LineFrame":

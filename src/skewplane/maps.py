@@ -259,8 +259,8 @@ def _rotations(values: Sequence[SkewScalar], width: int):
 
 
 def _zero_one(base: CrossRatioBase) -> Tuple[SkewScalar, SkewScalar]:
-    anchor = base.points[0]  # nonzero by base validation
-    return anchor - anchor, anchor.inverse() * anchor
+    anchor = base.points[0]
+    return anchor._from_int(0), anchor._from_int(1)
 
 
 def _map_values(base: CrossRatioBase, arguments) -> Dict[SkewScalar, SkewScalar]:

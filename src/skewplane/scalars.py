@@ -21,13 +21,12 @@ but only :class:`Rational` hashes like the embedded ``int``: for GF(p) no
 hash can agree with every int of a residue class, so ``3 in
 {RationalQuaternion(3)}`` is False although ``RationalQuaternion(3) == 3``.
 
-Rational values are stored as ``gmpy2.mpq`` when available (exact and
-roughly 15x faster) and fall back to :class:`fractions.Fraction`; both
-keep gcd-reduced canonical form with a positive denominator.  Quaternions
-do their arithmetic on plain integers, four numerators over one positive
-common denominator that shares no factor with all of them (a canonical
-form), memoize their hash, and use the rational type only for their
-component views.
+Rationals, and quaternions too, do their arithmetic on plain integers: a
+rational is a numerator over a positive denominator with no common
+factor, a quaternion four numerators over one positive common
+denominator that shares no factor with all of them (canonical forms).
+Rationals hash like :class:`fractions.Fraction`; quaternions memoize
+their hash and use ``Fraction`` only for their component views.
 """
 
 from __future__ import annotations
@@ -40,33 +39,34 @@ from typing import Iterator, Union
 
 from .errors import BackendMismatchError, UsageError, ZeroInverseError
 
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _RAT = Fraction
-
 RationalLike = Union[int, Fraction]
 
 
-def _to_rat(value, denominator=None):
-    """Build the internal rational type, rejecting floats (exactness ban)."""
-    if isinstance(value, float) or isinstance(denominator, float):
-        raise TypeError("floating point is not allowed in exact scalars")
-    if denominator is None:
-        return _RAT(value)
-    return _RAT(value, denominator)
+def _ratio(value, denominator=1) -> tuple:
+    """``value / denominator`` as a reduced ``(n, d)`` pair of ints, d > 0.
 
-
-def _rat_str(value) -> str:
-    """``n`` or ``n/d`` for an internal rational, printed through ``int``.
-
-    Printing through ``int`` makes both engines stop at the interpreter's
-    digit limit, which the parser cannot read past either; a value beyond
-    it is a UsageError.
-    """
-    numerator, denominator = int(value.numerator), int(value.denominator)
+    Both are ints, bools or exact rationals with int ``numerator`` and
+    ``denominator`` (``Fraction``); floats (the exactness ban) and all
+    else are a TypeError."""
     try:
-        return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+        n, d = value.numerator * denominator.denominator, \
+            value.denominator * denominator.numerator
+    except AttributeError:
+        n = d = None
+    if not (isinstance(n, int) and isinstance(d, int)):
+        raise TypeError("exact scalars take ints and exact rationals, got "
+                        f"{type(value).__name__} and {type(denominator).__name__}")
+    if not d:
+        raise ZeroDivisionError("zero denominator")
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return n // g, d // g
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """``n`` or ``n/d``; beyond the interpreter's digit limit, which the
+    parser cannot read past either, a UsageError."""
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
         raise UsageError(
             "value too long to print: more than "
@@ -217,71 +217,80 @@ class Rational(SkewScalar):
     ``Rational(2, 4) == Rational(1, 2)`` structurally.
     """
 
-    __slots__ = ("_v",)
+    __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator: RationalLike = 0, denominator=None):
-        if isinstance(numerator, Rational):
-            numerator = numerator._v
-        object.__setattr__(self, "_v", _to_rat(numerator, denominator))
+    def __new__(cls, numerator: RationalLike = 0, denominator: RationalLike = 1):
+        return cls._wrap(*_ratio(numerator, denominator))
 
     @classmethod
-    def _wrap(cls, raw) -> "Rational":
+    def _wrap(cls, n: int, d: int) -> "Rational":
+        """The value n / d, which must already be canonical."""
         out = object.__new__(cls)
-        object.__setattr__(out, "_v", raw)
+        object.__setattr__(out, "numerator", n)
+        object.__setattr__(out, "denominator", d)
         return out
 
-    @property
-    def numerator(self) -> int:
-        return int(self._v.numerator)
-
-    @property
-    def denominator(self) -> int:
-        return int(self._v.denominator)
+    @classmethod
+    def _reduce(cls, n: int, d: int) -> "Rational":
+        """The value n / d for d > 0, divided by their gcd."""
+        g = math.gcd(n, d)
+        return cls._wrap(n // g, d // g)
 
     def _key(self):
-        return self._v
+        return (self.numerator, self.denominator)
 
     def __add__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return Rational._wrap(self._v + coerced._v)
+        d1, d2 = self.denominator, coerced.denominator
+        return Rational._reduce(self.numerator * d2 + coerced.numerator * d1, d1 * d2)
 
     def __sub__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return Rational._wrap(self._v - coerced._v)
+        d1, d2 = self.denominator, coerced.denominator
+        return Rational._reduce(self.numerator * d2 - coerced.numerator * d1, d1 * d2)
 
     def __neg__(self):
-        return Rational._wrap(-self._v)
+        return Rational._wrap(-self.numerator, self.denominator)
 
     def __mul__(self, other):
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return Rational._wrap(self._v * coerced._v)
+        return Rational._reduce(self.numerator * coerced.numerator,
+                                self.denominator * coerced.denominator)
 
     def inverse(self) -> "Rational":
-        if not self._v:
+        n, d = self.numerator, self.denominator
+        if not n:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        return Rational._wrap(1 / self._v)
+        return Rational._wrap(d, n) if n > 0 else Rational._wrap(-d, -n)
 
     def is_zero(self) -> bool:
-        return not self._v
+        return not self.numerator
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Rational):  # fast path of the base rule
-            return self._v == other._v
+            return self.numerator == other.numerator and self.denominator == other.denominator
         return super().__eq__(other)
 
-    __hash__ = SkewScalar.__hash__
+    def __hash__(self):
+        """``hash(Fraction(n, d))`` by CPython's rule (``hash`` makes -1 into -2)."""
+        n = self.numerator
+        try:
+            value = hash(hash(abs(n)) * pow(self.denominator, -1, sys.hash_info.modulus))
+        except ValueError:  # the denominator is a multiple of the modulus
+            value = sys.hash_info.inf
+        return value if n >= 0 else -value
 
     def __str__(self) -> str:
-        return _rat_str(self._v)
+        return _ratio_str(self.numerator, self.denominator)
 
     def __repr__(self) -> str:
-        return f"Rational({self._v})"
+        return f"Rational({self})"
 
 
 class PrimeFieldElement(SkewScalar):
@@ -379,11 +388,10 @@ class RationalQuaternion(SkewScalar):
 
     def __init__(self, w: RationalLike = 0, x: RationalLike = 0,
                  y: RationalLike = 0, z: RationalLike = 0):
-        parts = [_to_rat(c._v if isinstance(c, Rational) else c) for c in (w, x, y, z)]
+        parts = [_ratio(c) for c in (w, x, y, z)]
         # reduced components: the lcm of their denominators is already canonical
-        d = math.lcm(*(int(p.denominator) for p in parts))
-        object.__setattr__(self, "_n", tuple(
-            int(p.numerator) * (d // int(p.denominator)) for p in parts))
+        d = math.lcm(*(q for _, q in parts))
+        object.__setattr__(self, "_n", tuple(p * (d // q) for p, q in parts))
         object.__setattr__(self, "_d", d)
 
     @classmethod
@@ -402,16 +410,16 @@ class RationalQuaternion(SkewScalar):
             a, b, c, e, d = a // g, b // g, c // g, e // g, d // g
         return cls._wrap((a, b, c, e), d)
 
-    w = property(lambda self: _RAT(self._n[0], self._d), doc="The real part.")
-    x = property(lambda self: _RAT(self._n[1], self._d), doc="The i coefficient.")
-    y = property(lambda self: _RAT(self._n[2], self._d), doc="The j coefficient.")
-    z = property(lambda self: _RAT(self._n[3], self._d), doc="The k coefficient.")
+    w = property(lambda self: Fraction(self._n[0], self._d), doc="The real part.")
+    x = property(lambda self: Fraction(self._n[1], self._d), doc="The i coefficient.")
+    y = property(lambda self: Fraction(self._n[2], self._d), doc="The j coefficient.")
+    z = property(lambda self: Fraction(self._n[3], self._d), doc="The k coefficient.")
 
     def components(self):
         """The (w, x, y, z) coefficients as exact rationals."""
         a, b, c, e = self._n
         d = self._d
-        return (_RAT(a, d), _RAT(b, d), _RAT(c, d), _RAT(e, d))
+        return (Fraction(a, d), Fraction(b, d), Fraction(c, d), Fraction(e, d))
 
     _key = components
 
@@ -459,7 +467,7 @@ class RationalQuaternion(SkewScalar):
     def norm(self):
         """The reduced norm w^2 + x^2 + y^2 + z^2 (an exact rational)."""
         a, b, c, e = self._n
-        return _RAT(a * a + b * b + c * c + e * e, self._d * self._d)
+        return Fraction(a * a + b * b + c * c + e * e, self._d * self._d)
 
     def conjugate(self) -> "RationalQuaternion":
         a, b, c, e = self._n
@@ -495,7 +503,7 @@ class RationalQuaternion(SkewScalar):
         return (RationalQuaternion._wrap, (self._n, self._d))
 
     def __str__(self) -> str:
-        return "({},{},{},{})".format(*map(_rat_str, self.components()))
+        return "({},{},{},{})".format(*(_ratio_str(*_ratio(a, self._d)) for a in self._n))
 
     def __repr__(self) -> str:
         return f"RationalQuaternion{self.components()}"

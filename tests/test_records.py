@@ -179,8 +179,21 @@ def test_copy_and_pickle(record, clone):
     if record.frozen:
         with pytest.raises(AttributeError):
             setattr(twin, record.names[0], record.values[0])
-    if record.cls is not ConstructionTrace or clone is copy.copy:  # LineFrame: by identity
-        assert twin == record.obj
+    assert twin == record.obj
+
+
+def test_traces_on_equal_frames_are_equal():
+    """A frame is a value: O and I decide ``==`` and the hash, so traces built
+    on two separately constructed equal frames are equal too."""
+    first, second = LineFrame(rp(1, 1), rp(2, 3)), LineFrame(rp(1, 1), rp(2, 3))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != LineFrame(rp(1, 1), rp(2, 4)) and first != (rp(1, 1), rp(2, 3))
+    assert repr(first) == "LineFrame(O=(1, 1), I=(2, 3))"
+    with pytest.raises(AttributeError):
+        first.origin = rp(0, 0)
+    traces = [trace_addition(frame, frame.embed(Rational(2)), frame.embed(Rational(3)),
+                             rp(0, 1)) for frame in (first, second)]
+    assert traces[0] == traces[1] and hash(traces[0]) == hash(traces[1])
 
 
 class TestDefaults:

@@ -62,6 +62,17 @@ class TestRational:
         with pytest.raises(TypeError):
             Rational(1, 2.0)
 
+    def test_strings_and_zero_denominators_rejected(self):
+        for text in ("1/2", "3"):
+            with pytest.raises(TypeError):
+                Rational(text)
+            with pytest.raises(TypeError):
+                RationalQuaternion(0, text)
+        with pytest.raises(ZeroDivisionError):
+            Rational(1, 0)
+        with pytest.raises(ZeroDivisionError):
+            Rational(Fraction(1, 2), Rational(0))
+
     def test_int_coercion(self):
         assert Rational(3) + 1 == Rational(4)
         assert 2 * Rational(1, 2) == Rational(1)
@@ -191,7 +202,7 @@ class TestBackendMismatch:
 #: Per backend: its field, the value 3 built without ``from_int``, the hash
 #: of its canonical key, and one of its slots.
 PROTOCOL_CASES = {
-    "rational": (RationalField(), Rational(6, 2), hash(Fraction(3)), "_v"),
+    "rational": (RationalField(), Rational(6, 2), hash(Fraction(3)), "numerator"),
     "gfp(5)": (PrimeField(5), PrimeFieldElement(8, 5), hash((3, 5)), "residue"),
     "quaternion": (QuaternionField(), RationalQuaternion(Rational(6, 2)),
                    hash((Fraction(3), Fraction(0), Fraction(0), Fraction(0))), "w"),

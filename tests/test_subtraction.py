@@ -1,19 +1,19 @@
-"""Direct subtraction on every backend, and the rational engines.
+"""Direct subtraction on every backend, and rationals against a reference.
 
 Each backend subtracts in one operation; the result must be exactly the
 sum with the negation, with ints embedded on either side, aliens refused
-and backends never mixed.  The rational type runs on gmpy2 ``mpq`` when it
-is installed and on ``fractions.Fraction`` otherwise; forcing the
-fallback must not change a printed value or an equality.
+and backends never mixed.  ``Rational`` does its arithmetic on two plain
+ints; ``fractions.Fraction`` is the reference every operation, printed
+form and hash must match.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import quaternions, rationals
-from skewplane import scalars
 from skewplane.errors import BackendMismatchError
 from skewplane.scalars import (
     PrimeField,
@@ -84,27 +84,31 @@ def test_cross_backend_subtraction_raises(field):
         assert str(caught.value) == message
 
 
-def rational_results():
-    """A fixed set of Rational results: every operator, ints mixed in."""
-    a, b, c = Rational(7, 3), Rational(-5, 4), Rational(0)
-    return [
-        a + b, a - b, b - a, a * b, -a, a.inverse(), b.inverse(),
-        (a - b).inverse(), a - 3, 3 - a, a - True, True - a, 2 + b, b * -6,
-        c - a, a - a, Rational(2, 4), Rational(-6, 3), Rational(10 ** 30, 7) - b,
-        (a * b - c).inverse() * (b - 1),
-    ]
+#: Numerators and denominators of up to about 40 digits.
+BIG = 10 ** 40
+FRACTIONS = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+MODULUS = sys.hash_info.modulus  # a denominator without an inverse for the hash
 
 
-def test_fraction_engine_matches_the_default(monkeypatch):
-    default = rational_results()
-    monkeypatch.setattr(scalars, "_RAT", Fraction)
-    fallback = rational_results()
-    assert all(type(value._v) is Fraction for value in fallback)
-    assert [str(value) for value in fallback] == [str(value) for value in default]
-    assert fallback == default
-    assert [hash(value) for value in fallback] == [hash(value) for value in default]
-    assert [x == y for x in fallback for y in fallback] == \
-        [x == y for x in default for y in default]
+@given(FRACTIONS, FRACTIONS, st.integers(-BIG, BIG) | st.booleans())
+@example(Fraction(1, MODULUS), Fraction(-3, 2 * MODULUS), -1)
+@example(Fraction(-1), Fraction(2), True)
+def test_rational_matches_fraction(x, y, n):
+    a, b = Rational(x), Rational(y)
+    results = [(a + b, x + y), (a - b, x - y), (-a, -x), (a * b, x * y),
+               (a + n, x + n), (n + a, n + x), (a - n, x - n), (n - a, n - x),
+               (a * n, x * n), (n * a, n * x), (Rational(n), Fraction(n))]
+    if x:
+        results.append((a.inverse(), 1 / x))
+    for value, reference in results:
+        assert type(value) is Rational
+        assert type(value.numerator) is int and type(value.denominator) is int
+        assert (value.numerator, value.denominator) == \
+            (reference.numerator, reference.denominator)
+        assert str(value) == str(reference) and repr(value) == f"Rational({reference})"
+        assert hash(value) == hash(reference)
+    assert (a == b) == (x == y) and (a == n) == (x == n) and (n == b) == (n == y)
+    assert a == Rational(x.numerator, x.denominator)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
