@@ -3,21 +3,30 @@
 Fixing three of the cross-ratio's four slots and letting the remaining
 slot range over the line yields four map families, tagged by the freed
 slot: A frees the first slot, B the second, C the third, D the fourth.
-All four share one evaluation engine parameterized by slot position;
-only ``preimage`` solves each family's defining equation by a closed form
-of its own.
+``evaluate`` and ``inverse_value`` are the definitional route: the
+cross-ratio [(A-D)^-1 (B-D)] [(B-C)^-1 (A-C)] with X in the free slot.
+
+Two of the cross-ratio's four differences never contain X, so each
+family's map is a product around X-free factors of its base:
+
+    family A, base (B, C, D): (X-D)^-1 g (X-C),    g = (B-D)(B-C)^-1
+    family B, base (A, C, D): a (X-D)(X-C)^-1 c,   a = (A-D)^-1, c = A-C
+    family C, base (A, B, D): omega (B-X)^-1 (A-X), omega = (A-D)^-1 (B-D)
+    family D, base (A, B, C): (A-X)^-1 (B-X) omega, omega = (B-C)^-1 (A-C)
+
+The inverse map, with the final two slots swapped, uses the same factors
+inverted: (X-C)^-1 g^-1 (X-D) for A, c^-1 (X-C)(X-D)^-1 a^-1 for B,
+(A-X)^-1 (B-X) omega^-1 for C and omega^-1 (B-X)^-1 (A-X) for D.  The
+verify_* runners and ``preimage`` compute the factors once per call and
+keep nothing after it; a value then costs 2 subtractions, 1 inverse and
+2 products (3 for B) instead of the cross-ratio's 4, 2 and 3.
 
 Each family's image is known exactly.  Families B, C and D take every
-value but one, ``omitted_value(base)``:
-
-    family B, base (A, C, D): (A-D)^-1 (A-C)
-    family C, base (A, B, D): (A-D)^-1 (B-D)
-    family D, base (A, B, C): (B-C)^-1 (A-C)
-
+value but one, ``omitted_value(base)``: a c for B, omega for C and D.
 Family A attains a value w exactly when psi = g g - t g + n is nonzero,
-where g = (B-D)(B-C)^-1, t = w + conj(w) and n = w conj(w); a vanishing
-psi at a central w is not attained, and at a non-central w (quaternion
-conjugates of g) it is left undecided.
+where t = w + conj(w) and n = w conj(w); a vanishing psi at a central w
+is not attained, and at a non-central w (quaternion conjugates of g) it
+is left undecided.
 
 For each family the module knows three distinguished arguments, all
 derived from the factored cross-ratio formula (a product vanishes only
@@ -36,21 +45,23 @@ the inverse law holds two-sidedly.
 
 The verify_* runners re-check all of this pointwise on explicit sample
 sets and return structured reports (one line per identity) so the CLI
-can run them on user-supplied bases.  Each runner evaluates every sampled
-argument once and its identities share those values; the inverse law
-still checks inverse_value's own formula against them.  Verification never asserts set
-closure; instead each report records, informationally, how often sums
-and products of sampled map values are attained by the map again.  It
-decides that by image membership, with the constants computed once per
-base: one comparison with the omitted value (B, C, D) or one psi test
-(A) per pair, the same test ``preimage`` answers from.
+can run them on user-supplied bases.  Each runner computes the map once
+per sampled argument, on the factors, and its identities share those
+values; the zero and unit points are evaluated by the definitional
+route, and the inverse law checks the inverse map's own formula against
+the sampled values.  Verification never asserts set closure; instead
+each report records, informationally, how often sums and products of
+sampled map values are attained by the map again.  It decides that by
+image membership from the same factors: one comparison with the omitted
+value (B, C, D) or one psi test (A) per pair, the same test ``preimage``
+answers from.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidBaseError,
@@ -124,10 +135,19 @@ def unit_point(base: CrossRatioBase) -> SkewScalar:
     return base.points[_UNIT_INDEX[base.family]]
 
 
-def evaluate(base: CrossRatioBase, x: SkewScalar) -> SkewScalar:
-    """The map value: the cross-ratio with x substituted in the free slot."""
+def _check_argument(base: CrossRatioBase, x: SkewScalar,
+                    invertible: bool = False) -> None:
+    """Refuse the singular point, and the zero point where the value is inverted."""
     if x == singular_point(base):
         raise SingularArgumentError(base.family.value, x)
+    if invertible and x == zero_point(base):
+        raise ZeroValueNotInvertibleError(
+            f"map value at {x} is the zero point and has no inverse")
+
+
+def evaluate(base: CrossRatioBase, x: SkewScalar) -> SkewScalar:
+    """The map value: the cross-ratio with x substituted in the free slot."""
+    _check_argument(base, x)
     return cross_ratio(*base.slots(x))
 
 
@@ -139,13 +159,74 @@ def inverse_value(base: CrossRatioBase, x: SkewScalar) -> SkewScalar:
     both routes agree and that the product with evaluate is the unit on
     both sides.
     """
-    if x == singular_point(base):
-        raise SingularArgumentError(base.family.value, x)
-    if x == zero_point(base):
-        raise ZeroValueNotInvertibleError(
-            f"map value at {x} is the zero point and has no inverse")
+    _check_argument(base, x, invertible=True)
     s0, s1, s2, s3 = base.slots(x)
     return cross_ratio(s0, s1, s3, s2)
+
+
+# ---------------------------------------------------------------------------
+# the maps on their X-free factors (table in the module docstring)
+
+
+def _factors(base: CrossRatioBase) -> Tuple[SkewScalar, ...]:
+    """The X-free factors of the base's map: (g,), (a, c) or (omega,)."""
+    p0, p1, p2 = base.points
+    if base.family is Family.A:
+        return ((p0 - p2) * (p0 - p1).inverse(),)
+    if base.family is Family.B:
+        return ((p0 - p2).inverse(), p0 - p1)
+    if base.family is Family.C:
+        return ((p0 - p2).inverse() * (p1 - p2),)
+    return ((p1 - p2).inverse() * (p0 - p2),)
+
+
+def _formula(family: Family, points, factors) -> Callable[[SkewScalar], SkewScalar]:
+    """X -> the family's map value on these base points, from their factors."""
+    p0, p1, p2 = points
+    if family is Family.A:
+        g, = factors
+        return lambda x: (x - p2).inverse() * g * (x - p1)
+    if family is Family.B:
+        a, c = factors
+        return lambda x: a * (x - p2) * (x - p1).inverse() * c
+    omega, = factors
+    if family is Family.C:
+        return lambda x: omega * (p1 - x).inverse() * (p0 - x)
+    return lambda x: (p0 - x).inverse() * (p1 - x) * omega
+
+
+def _map_function(base: CrossRatioBase, factors) -> Callable[[SkewScalar], SkewScalar]:
+    """X -> evaluate(base, X), from the base's factors."""
+    value = _formula(base.family, base.points, factors)
+
+    def at(x: SkewScalar) -> SkewScalar:
+        _check_argument(base, x)
+        return value(x)
+    return at
+
+
+def _inverse_function(base: CrossRatioBase,
+                      factors) -> Callable[[SkewScalar], SkewScalar]:
+    """X -> inverse_value(base, X), from the base's factors inverted.
+
+    Swapping the final two cross-ratio slots swaps the last two base
+    points of A and B, and turns C and D into each other on the same
+    points; the swapped map's factors are the inverses of the base's.
+    """
+    family, (p0, p1, p2) = base.family, base.points
+    if family is Family.A:
+        inverse = _formula(family, (p0, p2, p1), (factors[0].inverse(),))
+    elif family is Family.B:
+        # a^-1 = A-D is one subtraction, cheaper than inverting a
+        inverse = _formula(family, (p0, p2, p1), (factors[1].inverse(), p0 - p2))
+    else:
+        swapped = Family.D if family is Family.C else Family.C
+        inverse = _formula(swapped, base.points, (factors[0].inverse(),))
+
+    def at(x: SkewScalar) -> SkewScalar:
+        _check_argument(base, x, invertible=True)
+        return inverse(x)
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +344,16 @@ def _zero_one(base: CrossRatioBase) -> Tuple[SkewScalar, SkewScalar]:
     return anchor._from_int(0), anchor._from_int(1)
 
 
-def _map_values(base: CrossRatioBase, arguments) -> Dict[SkewScalar, SkewScalar]:
-    """evaluate(base, x) once per distinct argument, for the identities to share."""
-    return {x: evaluate(base, x) for x in arguments}
+def _map_values(base: CrossRatioBase, factors, arguments,
+                anchor: Optional[SkewScalar] = None) -> Dict[SkewScalar, SkewScalar]:
+    """The map value once per distinct argument, for the identities to share:
+    from the factors, and by ``evaluate`` at ``anchor`` (the zero or unit
+    point), so the neutral-element checks also test the definitional route."""
+    value = _map_function(base, factors)
+    v = {x: value(x) for x in arguments}
+    if anchor is not None:
+        v[anchor] = evaluate(base, anchor)
+    return v
 
 
 def _check(report: VerificationReport, name: str, samples: SampleSet,
@@ -292,7 +380,8 @@ def verify_addition_structure(base: CrossRatioBase,
     zero, _ = _zero_one(base)
     values = samples.values
     zero_arg = zero_point(base)
-    v = _map_values(base, (*values, zero_arg))
+    factors = _factors(base)
+    v = _map_values(base, factors, values, zero_arg)
     report = VerificationReport(title=f"addition structure, {base}")
 
     _check(report, "value addition associativity", samples, _rotations(values, 3),
@@ -307,14 +396,15 @@ def verify_addition_structure(base: CrossRatioBase,
            lambda x: zero_ok and v[x] + v[zero_arg] == v[x],
            lambda x: f"X={x}, zero point={zero_arg}")
 
-    _record_closure(report, base, samples, v, operation="+")
+    _record_closure(report, base, factors, samples, v, operation="+")
     return report
 
 
 def verify_multiplicative_group(base: CrossRatioBase,
                                 samples: SampleSet) -> VerificationReport:
     """Pointwise checks of the group identities: associativity, two-sided
-    unit neutrality, and the two-sided inverse law via inverse_value.
+    unit neutrality, and the two-sided inverse law, against the inverse
+    map on the inverted factors (``inverse_value``'s formula).
 
     The sample set must exclude the zero point (its value has no
     inverse); build it with ``exclude_zero_point=True``.
@@ -322,7 +412,8 @@ def verify_multiplicative_group(base: CrossRatioBase,
     _, one = _zero_one(base)
     values = samples.values
     unit_arg = unit_point(base)
-    v = _map_values(base, (*values, unit_arg))
+    factors = _factors(base)
+    v = _map_values(base, factors, values, unit_arg)
     report = VerificationReport(title=f"multiplicative group, {base}")
 
     _check(report, "value multiplication associativity", samples, _rotations(values, 3),
@@ -335,14 +426,16 @@ def verify_multiplicative_group(base: CrossRatioBase,
            and v[x] * v[unit_arg] == v[x] and v[unit_arg] * v[x] == v[x],
            lambda x: f"X={x}, unit point={unit_arg}")
 
+    inverse_of = _inverse_function(base, factors)
+
     def inverse_law(x):
-        inverse = inverse_value(base, x)
+        inverse = inverse_of(x)
         return v[x] * inverse == one and inverse * v[x] == one
 
     _check(report, "two-sided inverse law", samples, _rotations(values, 1),
            inverse_law, lambda x: f"X={x}")
 
-    _record_closure(report, base, samples, v, operation="*")
+    _record_closure(report, base, factors, samples, v, operation="*")
     return report
 
 
@@ -350,7 +443,7 @@ def verify_distributive(base: CrossRatioBase,
                         samples: SampleSet) -> VerificationReport:
     """Pointwise checks of both distributive identities on sampled triples."""
     values = samples.values
-    v = _map_values(base, values)
+    v = _map_values(base, _factors(base), values)
     report = VerificationReport(title=f"distributivity, {base}")
 
     _check(report, "left distributivity", samples, _rotations(values, 3),
@@ -377,26 +470,20 @@ def omitted_value(base: CrossRatioBase) -> Optional[SkewScalar]:
     term 1 + (nonzero)^-1 (nonzero), which takes every value but 1.
     Family A has no single omitted value: None.
     """
-    p0, p1, p2 = base.points
-    if base.family is Family.B:
-        return (p0 - p2).inverse() * (p0 - p1)
-    if base.family is Family.C:
-        return (p0 - p2).inverse() * (p1 - p2)
-    if base.family is Family.D:
-        return (p1 - p2).inverse() * (p0 - p2)
-    return None
+    if base.family is Family.A:
+        return None
+    return _omitted(base.family, _factors(base))
 
 
-def _family_a_g(base: CrossRatioBase) -> SkewScalar:
-    """g = (B-D)(B-C)^-1: family A's map is X -> (X-D)^-1 g (X-C)."""
-    b_, c_, d_ = base.points
-    return (b_ - d_) * (b_ - c_).inverse()
+def _omitted(family: Family, factors) -> SkewScalar:
+    """omitted_value from the factors of a family B, C or D base."""
+    return factors[0] * factors[1] if family is Family.B else factors[0]
 
 
-def _attainment(base: CrossRatioBase):
+def _attainment(base: CrossRatioBase, factors):
     """The membership test of the base's image: value -> status.
 
-    Its constants are computed once per base, so a caller deciding many
+    Its constants come from the base's factors, so a caller deciding many
     values pays one comparison (families B, C, D) or one psi test
     (family A) per value.
 
@@ -411,9 +498,9 @@ def _attainment(base: CrossRatioBase):
     conjugacy class mate of g, which this test does not decide.
     """
     if base.family is not Family.A:
-        omitted = omitted_value(base)
+        omitted = _omitted(base.family, factors)
         return lambda w: NOT_ATTAINED if w == omitted else ATTAINED
-    g = _family_a_g(base)
+    g, = factors
     gg = g * g
 
     def status(w: SkewScalar) -> str:
@@ -436,30 +523,31 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
     has a witness, solved in closed form and checked by evaluating it
     back; a witness failing that check is a bug and raises.
     """
-    status = _attainment(base)(value)
+    factors = _factors(base)
+    status = _attainment(base, factors)(value)
     if status != ATTAINED:
         return status, None
     if base.family is Family.A:
-        witness = _witness_family_a(base, value)
+        witness = _witness_family_a(base, factors[0], value)
     else:
-        witness = _witness_linear(base, value)
+        witness = _witness_linear(base, factors, value)
     if witness == singular_point(base) or evaluate(base, witness) != value:  # pragma: no cover
         raise AssertionError(f"preimage witness {witness} of {value} failed "
                              f"its back-check, {base}")
     return ATTAINED, witness
 
 
-def _witness_family_a(base: CrossRatioBase, w: SkewScalar) -> SkewScalar:
+def _witness_family_a(base: CrossRatioBase, g: SkewScalar,
+                      w: SkewScalar) -> SkewScalar:
     """Family A, psi nonzero: Z = psi^-1 (g c - c conj(w)), c = g C - D w."""
     _, c_, d_ = base.points
-    g = _family_a_g(base)
     c = g * c_ - d_ * w
     conj = w.conjugate()
     psi = g * g - (w + conj) * g + w * conj
     return psi.inverse() * (g * c - c * conj)
 
 
-def _witness_linear(base: CrossRatioBase, w: SkewScalar) -> SkewScalar:
+def _witness_linear(base: CrossRatioBase, factors, w: SkewScalar) -> SkewScalar:
     """Families B, C, D: the defining equation is linear in Z.
 
     Each reduces to wp = 1 exactly at the omitted value, so for an
@@ -468,27 +556,23 @@ def _witness_linear(base: CrossRatioBase, w: SkewScalar) -> SkewScalar:
     _, one = _zero_one(base)
     p0, p1, p2 = base.points
     if base.family is Family.B:
-        # (Z-D)(Z-C)^-1 = (A-D) w (A-C)^-1 =: wp;  (1-wp) Z = D - wp C
+        # (Z-D)(Z-C)^-1 = (A-D) w c^-1 =: wp;  (1-wp) Z = D - wp C
         a_, c_, d_ = p0, p1, p2
-        wp = (a_ - d_) * w * (a_ - c_).inverse()
+        wp = (a_ - d_) * w * factors[1].inverse()
         return (one - wp).inverse() * (d_ - wp * c_)
     if base.family is Family.C:
-        # (B-Z)^-1 (A-Z) = h^-1 w =: wp;  Z (wp - 1) = B wp - A
-        a_, b_, d_ = p0, p1, p2
-        h = (a_ - d_).inverse() * (b_ - d_)
-        wp = h.inverse() * w
-        return (b_ * wp - a_) * (wp - one).inverse()
-    # Family D: (A-Z)^-1 (B-Z) = w k^-1 =: wp;  Z (wp - 1) = A wp - B
-    a_, b_, c_ = p0, p1, p2
-    k = (b_ - c_).inverse() * (a_ - c_)
-    wp = w * k.inverse()
-    return (a_ * wp - b_) * (wp - one).inverse()
+        # (B-Z)^-1 (A-Z) = omega^-1 w =: wp;  Z (wp - 1) = B wp - A
+        wp = factors[0].inverse() * w
+        return (p1 * wp - p0) * (wp - one).inverse()
+    # Family D: (A-Z)^-1 (B-Z) = w omega^-1 =: wp;  Z (wp - 1) = A wp - B
+    wp = w * factors[0].inverse()
+    return (p0 * wp - p1) * (wp - one).inverse()
 
 
-def _record_closure(report: VerificationReport, base: CrossRatioBase,
+def _record_closure(report: VerificationReport, base: CrossRatioBase, factors,
                     samples: SampleSet, v: Dict[SkewScalar, SkewScalar],
                     operation: str) -> None:
-    attainment = _attainment(base)
+    attainment = _attainment(base, factors)
     tallies = {ATTAINED: 0, NOT_ATTAINED: 0, UNDECIDED: 0}
     count = 0
     for x, y in _rotations(samples.values, 2):

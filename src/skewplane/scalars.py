@@ -27,6 +27,13 @@ factor, a quaternion four numerators over one positive common
 denominator that shares no factor with all of them (canonical forms).
 Rationals hash like :class:`fractions.Fraction`; quaternions memoize
 their hash and use ``Fraction`` only for their component views.
+
+Only the public constructors validate their arguments.  Arithmetic builds
+each result in one step: it computes the canonical form itself, writes
+the slots through their slot descriptors, past both the constructor's
+checks and :class:`Immutable`'s guard, and takes an operand of its own
+class as it is, without the ``_coerce`` call that an ``int`` or an
+alien operand goes through.
 """
 
 from __future__ import annotations
@@ -40,6 +47,8 @@ from typing import Iterator, Union
 from .errors import BackendMismatchError, UsageError, ZeroInverseError
 
 RationalLike = Union[int, Fraction]
+
+_new = object.__new__
 
 
 def _ratio(value, denominator=1) -> tuple:
@@ -63,8 +72,12 @@ def _ratio(value, denominator=1) -> tuple:
 
 
 def _ratio_str(n: int, d: int) -> str:
-    """``n`` or ``n/d``; beyond the interpreter's digit limit, which the
-    parser cannot read past either, a UsageError."""
+    """``n / d`` for d > 0 in lowest terms, ``n`` or ``n/d``, reduced with
+    one gcd; beyond the interpreter's digit limit, which the parser cannot
+    read past either, a UsageError."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
@@ -76,8 +89,9 @@ def _ratio_str(n: int, d: int) -> str:
 class Immutable:
     """Slotted values that refuse assignment and deletion of attributes.
 
-    Constructors write their slots with ``object.__setattr__``; copy and
-    pickle restore them through ``__setstate__``, past the guard.
+    Constructors and arithmetic write their slots past the guard, through
+    the slot descriptors' ``__set__`` or ``object.__setattr__``; copy and
+    pickle restore them through ``__setstate__``.
     """
 
     __slots__ = ()
@@ -220,48 +234,58 @@ class Rational(SkewScalar):
     __slots__ = ("numerator", "denominator")
 
     def __new__(cls, numerator: RationalLike = 0, denominator: RationalLike = 1):
-        return cls._wrap(*_ratio(numerator, denominator))
-
-    @classmethod
-    def _wrap(cls, n: int, d: int) -> "Rational":
-        """The value n / d, which must already be canonical."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "numerator", n)
-        object.__setattr__(out, "denominator", d)
+        n, d = _ratio(numerator, denominator)
+        out = _new(cls)
+        _set_numerator(out, n)
+        _set_denominator(out, d)
         return out
 
-    @classmethod
-    def _reduce(cls, n: int, d: int) -> "Rational":
+    @staticmethod
+    def _wrap(n: int, d: int) -> "Rational":
+        """The value n / d, which must already be canonical."""
+        out = _new(Rational)
+        _set_numerator(out, n)
+        _set_denominator(out, d)
+        return out
+
+    @staticmethod
+    def _reduce(n: int, d: int) -> "Rational":
         """The value n / d for d > 0, divided by their gcd."""
         g = math.gcd(n, d)
-        return cls._wrap(n // g, d // g)
+        out = _new(Rational)
+        _set_numerator(out, n // g)
+        _set_denominator(out, d // g)
+        return out
 
     def _key(self):
         return (self.numerator, self.denominator)
 
     def __add__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        d1, d2 = self.denominator, coerced.denominator
-        return Rational._reduce(self.numerator * d2 + coerced.numerator * d1, d1 * d2)
+        if other.__class__ is not Rational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.denominator, other.denominator
+        return Rational._reduce(self.numerator * d2 + other.numerator * d1, d1 * d2)
 
     def __sub__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        d1, d2 = self.denominator, coerced.denominator
-        return Rational._reduce(self.numerator * d2 - coerced.numerator * d1, d1 * d2)
+        if other.__class__ is not Rational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self.denominator, other.denominator
+        return Rational._reduce(self.numerator * d2 - other.numerator * d1, d1 * d2)
 
     def __neg__(self):
         return Rational._wrap(-self.numerator, self.denominator)
 
     def __mul__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return Rational._reduce(self.numerator * coerced.numerator,
-                                self.denominator * coerced.denominator)
+        if other.__class__ is not Rational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return Rational._reduce(self.numerator * other.numerator,
+                                self.denominator * other.denominator)
 
     def inverse(self) -> "Rational":
         n, d = self.numerator, self.denominator
@@ -293,6 +317,10 @@ class Rational(SkewScalar):
         return f"Rational({self})"
 
 
+_set_numerator = Rational.numerator.__set__
+_set_denominator = Rational.denominator.__set__
+
+
 class PrimeFieldElement(SkewScalar):
     """A residue in GF(p), 0 <= residue < p, with p prime.
 
@@ -307,8 +335,16 @@ class PrimeFieldElement(SkewScalar):
             raise TypeError("residue must be an int")
         if not isinstance(modulus, int) or modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residue", residue % modulus)
+        _set_modulus(self, modulus)
+        _set_residue(self, residue % modulus)
+
+    @staticmethod
+    def _wrap(residue: int, modulus: int) -> "PrimeFieldElement":
+        """The residue class of ``residue``, which must already be in [0, modulus)."""
+        out = _new(PrimeFieldElement)
+        _set_residue(out, residue)
+        _set_modulus(out, modulus)
+        return out
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -326,30 +362,38 @@ class PrimeFieldElement(SkewScalar):
         return PrimeFieldElement(int(n), self.modulus)  # the constructor refuses bool
 
     def __add__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return PrimeFieldElement(self.residue + coerced.residue, self.modulus)
+        m = self.modulus
+        if other.__class__ is not PrimeFieldElement or other.modulus != m:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return PrimeFieldElement._wrap((self.residue + other.residue) % m, m)
 
     def __sub__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return PrimeFieldElement(self.residue - coerced.residue, self.modulus)
+        m = self.modulus
+        if other.__class__ is not PrimeFieldElement or other.modulus != m:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return PrimeFieldElement._wrap((self.residue - other.residue) % m, m)
 
     def __neg__(self):
-        return PrimeFieldElement(-self.residue, self.modulus)
+        m = self.modulus
+        return PrimeFieldElement._wrap(-self.residue % m, m)
 
     def __mul__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return PrimeFieldElement(self.residue * coerced.residue, self.modulus)
+        m = self.modulus
+        if other.__class__ is not PrimeFieldElement or other.modulus != m:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return PrimeFieldElement._wrap(self.residue * other.residue % m, m)
 
     def inverse(self) -> "PrimeFieldElement":
+        m = self.modulus
         if self.residue == 0:
-            raise ZeroInverseError(f"0 mod {self.modulus} has no inverse")
-        return PrimeFieldElement(pow(self.residue, -1, self.modulus), self.modulus)
+            raise ZeroInverseError(f"0 mod {m} has no inverse")
+        return PrimeFieldElement._wrap(pow(self.residue, -1, m), m)
 
     def is_zero(self) -> bool:
         return self.residue == 0
@@ -366,6 +410,10 @@ class PrimeFieldElement(SkewScalar):
 
     def __repr__(self) -> str:
         return f"PrimeFieldElement({self.residue}, {self.modulus})"
+
+
+_set_residue = PrimeFieldElement.residue.__set__
+_set_modulus = PrimeFieldElement.modulus.__set__
 
 
 class RationalQuaternion(SkewScalar):
@@ -391,24 +439,27 @@ class RationalQuaternion(SkewScalar):
         parts = [_ratio(c) for c in (w, x, y, z)]
         # reduced components: the lcm of their denominators is already canonical
         d = math.lcm(*(q for _, q in parts))
-        object.__setattr__(self, "_n", tuple(p * (d // q) for p, q in parts))
-        object.__setattr__(self, "_d", d)
+        _set_quaternion_n(self, tuple(p * (d // q) for p, q in parts))
+        _set_quaternion_d(self, d)
 
-    @classmethod
-    def _wrap(cls, n, d) -> "RationalQuaternion":
+    @staticmethod
+    def _wrap(n, d) -> "RationalQuaternion":
         """The value n / d, which must already be canonical."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "_n", n)
-        object.__setattr__(out, "_d", d)
+        out = _new(RationalQuaternion)
+        _set_quaternion_n(out, n)
+        _set_quaternion_d(out, d)
         return out
 
-    @classmethod
-    def _reduce(cls, a, b, c, e, d) -> "RationalQuaternion":
+    @staticmethod
+    def _reduce(a, b, c, e, d) -> "RationalQuaternion":
         """The value (a, b, c, e) / d for d > 0, divided by their one gcd."""
         g = math.gcd(a, b, c, e, d)
         if g != 1:
             a, b, c, e, d = a // g, b // g, c // g, e // g, d // g
-        return cls._wrap((a, b, c, e), d)
+        out = _new(RationalQuaternion)
+        _set_quaternion_n(out, (a, b, c, e))
+        _set_quaternion_d(out, d)
+        return out
 
     w = property(lambda self: Fraction(self._n[0], self._d), doc="The real part.")
     x = property(lambda self: Fraction(self._n[1], self._d), doc="The i coefficient.")
@@ -427,22 +478,24 @@ class RationalQuaternion(SkewScalar):
         return RationalQuaternion._wrap((int(n), 0, 0, 0), 1)  # canonical as it is
 
     def __add__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
+        if other.__class__ is not RationalQuaternion:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b, c, e = self._n
-        f, g, h, k = coerced._n
-        d1, d2 = self._d, coerced._d
+        f, g, h, k = other._n
+        d1, d2 = self._d, other._d
         return RationalQuaternion._reduce(a * d2 + f * d1, b * d2 + g * d1,
                                           c * d2 + h * d1, e * d2 + k * d1, d1 * d2)
 
     def __sub__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
+        if other.__class__ is not RationalQuaternion:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b, c, e = self._n
-        f, g, h, k = coerced._n
-        d1, d2 = self._d, coerced._d
+        f, g, h, k = other._n
+        d1, d2 = self._d, other._d
         return RationalQuaternion._reduce(a * d2 - f * d1, b * d2 - g * d1,
                                           c * d2 - h * d1, e * d2 - k * d1, d1 * d2)
 
@@ -451,17 +504,18 @@ class RationalQuaternion(SkewScalar):
         return RationalQuaternion._wrap((-a, -b, -c, -e), self._d)
 
     def __mul__(self, other):
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
+        if other.__class__ is not RationalQuaternion:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b, c, d = self._n
-        e, f, g, h = coerced._n
+        e, f, g, h = other._n
         return RationalQuaternion._reduce(
             a * e - b * f - c * g - d * h,
             a * f + b * e + c * h - d * g,
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
-            self._d * coerced._d,
+            self._d * other._d,
         )
 
     def norm(self):
@@ -494,7 +548,7 @@ class RationalQuaternion(SkewScalar):
             return self._hash
         except AttributeError:  # first call
             value = hash(self.components())
-            object.__setattr__(self, "_hash", value)
+            _set_quaternion_hash(self, value)
             return value
 
     def __reduce__(self):
@@ -503,10 +557,15 @@ class RationalQuaternion(SkewScalar):
         return (RationalQuaternion._wrap, (self._n, self._d))
 
     def __str__(self) -> str:
-        return "({},{},{},{})".format(*(_ratio_str(*_ratio(a, self._d)) for a in self._n))
+        return "({},{},{},{})".format(*(_ratio_str(a, self._d) for a in self._n))
 
     def __repr__(self) -> str:
         return f"RationalQuaternion{self.components()}"
+
+
+_set_quaternion_n = RationalQuaternion._n.__set__
+_set_quaternion_d = RationalQuaternion._d.__set__
+_set_quaternion_hash = RationalQuaternion._hash.__set__
 
 
 def ensure_same_backend(first: SkewScalar, *rest: SkewScalar) -> None:

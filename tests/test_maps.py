@@ -1,12 +1,15 @@
 """Cross-ratio map families: distinguished points, inverses, verifiers."""
 
 import operator
+import random
 import re
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+import skewplane.maps as maps_module
 from skewplane.errors import (
     InvalidBaseError,
     SingularArgumentError,
@@ -33,7 +36,7 @@ from skewplane.maps import (
     zero_point,
 )
 from skewplane.ratios import cross_ratio
-from skewplane.scalars import PrimeField, QuaternionField, Rational
+from skewplane.scalars import PrimeField, QuaternionField, Rational, RationalQuaternion
 
 #: The closure note as the benchmark and the CLI session checks parse it.
 CLOSURE_NOTE = re.compile(r"attained (\d+), no preimage (\d+), undecided (\d+)")
@@ -193,6 +196,106 @@ class TestInverseValue:
         base = rational_base(Family.A, 3, 1, 5)
         with pytest.raises(SingularArgumentError):
             inverse_value(base, singular_point(base))
+
+
+def assert_routes_agree(base, arguments):
+    """The verifiers' map and inverse map, from the base's X-free factors,
+    equal evaluate and inverse_value at every admissible argument, and
+    refuse the same arguments; returns how many values were compared."""
+    factors = maps_module._factors(base)
+    value = maps_module._map_function(base, factors)
+    inverse = maps_module._inverse_function(base, factors)
+    singular, zero = singular_point(base), zero_point(base)
+    compared = 0
+    for x in arguments:
+        if x == singular:
+            continue
+        assert value(x) == evaluate(base, x), (base, x)
+        compared += 1
+        if x != zero:
+            assert inverse(x) == inverse_value(base, x), (base, x)
+            compared += 1
+    for route in (value, inverse):
+        with pytest.raises(SingularArgumentError):
+            route(singular)
+    with pytest.raises(ZeroValueNotInvertibleError):
+        inverse(zero)
+    return compared
+
+
+class TestFactoredMaps:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_every_base_and_argument_of_gfp(self, p):
+        field = PrimeField(p)
+        nonzero = [x for x in field.elements() if not x.is_zero()]
+        for family in Family:
+            compared = sum(assert_routes_agree(CrossRatioBase(family, points),
+                                               list(field.elements()))
+                           for points in permutations(nonzero, 3))
+            # per base: p - 1 values and p - 2 inverse values
+            assert compared == (p - 1) * (p - 2) * (p - 3) * (2 * p - 3)
+
+    def test_seeded_quaternion_bases(self, quaternion_field):
+        field, rng = quaternion_field, random.Random(1207)
+        for family in Family:
+            bases = [CrossRatioBase(family, (field.i(), field.j(), field.k()))]
+            bases += [random_base(field, rng, family) for _ in range(29)]
+            compared = sum(assert_routes_agree(
+                base, [*base.points] + [field.random_element(rng) for _ in range(20)])
+                for base in bases)
+            assert compared >= 30 * 20 * 2
+
+
+def count_quaternion_ops(monkeypatch):
+    """Count the RationalQuaternion operator calls, as count_rational_ops
+    in test_canonical_lines does for rationals."""
+    counts = Counter()
+    for name in ("__add__", "__sub__", "__mul__", "inverse"):
+        original = getattr(RationalQuaternion, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(RationalQuaternion, name, counted)
+    return counts
+
+
+class TestOpCounts:
+    POINTS = (RationalQuaternion(1, 1), RationalQuaternion(0, 0, 1, Fraction(-1, 2)),
+              RationalQuaternion(2, 0, 0, Fraction(1, 3)))
+    SAMPLES = SampleSet((RationalQuaternion(0, 1, 1),
+                         RationalQuaternion(Fraction(1, 2), 0, -1, 1),
+                         RationalQuaternion(-1, 2, 0, 0)))
+
+    # Both runners: the X-free factors (2 sub, 1 inverse, 1 mul; B: no mul)
+    # and three sampled values (2 sub, 1 inverse, 2 mul each; B: 3 mul).
+    # Distributive: both laws, 3 rotations of 3 mul and 2 add each.
+    # Group: the unit point by evaluate (4 sub, 2 inverse, 3 mul);
+    # associativity 12 mul, unit neutrality 6; the inverted factors
+    # (1 inverse; B: and a^-1 = A-D, 1 sub) and three inverse values like
+    # the values; the inverse law 6 mul; 3 closure products; the
+    # attainment test: for A g g and three psi (2 mul, 2 add, 1 sub
+    # each), for B the omitted value a c (1 mul).
+    @pytest.mark.parametrize("family, distributive, group", [
+        (Family.A, {"__sub__": 8, "inverse": 4, "__mul__": 25, "__add__": 12},
+         {"__sub__": 21, "inverse": 10, "__mul__": 50, "__add__": 6}),
+        (Family.B, {"__sub__": 8, "inverse": 4, "__mul__": 27, "__add__": 12},
+         {"__sub__": 19, "inverse": 10, "__mul__": 49}),
+        (Family.C, {"__sub__": 8, "inverse": 4, "__mul__": 25, "__add__": 12},
+         {"__sub__": 18, "inverse": 10, "__mul__": 43}),
+        (Family.D, {"__sub__": 8, "inverse": 4, "__mul__": 25, "__add__": 12},
+         {"__sub__": 18, "inverse": 10, "__mul__": 43}),
+    ])
+    def test_each_value_pays_for_the_free_point_only(self, monkeypatch, family,
+                                                     distributive, group):
+        base = CrossRatioBase(family, self.POINTS)
+        counts = count_quaternion_ops(monkeypatch)
+        assert verify_distributive(base, self.SAMPLES).passed
+        assert dict(counts) == distributive
+        counts.clear()
+        assert verify_multiplicative_group(base, self.SAMPLES).passed
+        assert dict(counts) == group
 
 
 class TestSampling:

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import operator
 import pickle
 from fractions import Fraction
 from operator import add, sub
@@ -79,7 +80,43 @@ class TestRational:
         assert 1 - Rational(1, 3) == Rational(2, 3)
 
 
+def _results(a, b):
+    """``a + b``, ``a - b``, ``-a``, ``a * b`` and, unless a is zero, a^-1;
+    for an int ``b``, also ``b + a``, ``b - a`` and ``b * a``."""
+    out = [a + b, a - b, -a, a * b]
+    if isinstance(b, int):
+        out += [b + a, b - a, b * a]
+    if not a.is_zero():
+        out.append(a.inverse())
+    return out
+
+
+def _assert_built(result, cls, slot):
+    """``result`` is exactly a ``cls`` and refuses assignment like any value."""
+    assert type(result) is cls
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(result, slot, getattr(result, slot))
+
+
 class TestPrimeField:
+    def test_results_are_canonical_exact_and_immutable(self):
+        gf7 = PrimeField(7)
+        for a in gf7.elements():
+            for b in (*gf7.elements(), -9, 0, 12, True):
+                r = b if isinstance(b, int) else b.residue
+                expected = [a.residue + r, a.residue - r, -a.residue, a.residue * r]
+                if isinstance(b, int):
+                    expected += [r + a.residue, r - a.residue, r * a.residue]
+                if a.residue:
+                    expected.append(pow(a.residue, -1, 7))
+                for result, want in zip(_results(a, b), expected, strict=True):
+                    _assert_built(result, PrimeFieldElement, "residue")
+                    assert result.modulus == 7 and result.residue == want % 7
+        for alien in (PrimeFieldElement(1, 5), Rational(1), RationalQuaternion(1)):
+            for operation in (add, sub, operator.mul):
+                with pytest.raises(BackendMismatchError):
+                    operation(gf7.one(), alien)
+
     def test_product_matches_integer_oracle(self):
         gf5 = PrimeField(5)
         assert (3 * 4) % 5 == 2
@@ -266,6 +303,25 @@ class TestRationalLaws:
     def test_no_zero_divisors(self, a, b):
         assert not (a * b).is_zero()
 
+    @given(rationals(), st.one_of(rationals(), st.integers(-10 ** 6, 10 ** 6)))
+    def test_results_are_canonical_and_immutable(self, a, b):
+        f = Fraction(a.numerator, a.denominator)
+        g = b if isinstance(b, int) else Fraction(b.numerator, b.denominator)
+        expected = [f + g, f - g, -f, f * g]
+        if isinstance(b, int):
+            expected += [g + f, g - f, g * f]
+        if f:
+            expected.append(1 / f)
+        for result, want in zip(_results(a, b), expected, strict=True):
+            _assert_built(result, Rational, "numerator")
+            assert result.denominator > 0
+            assert math.gcd(result.numerator, result.denominator) == 1
+            assert (result.numerator, result.denominator) == (want.numerator, want.denominator)
+        for alien in (PrimeFieldElement(1, 5), RationalQuaternion(1)):
+            for operation in (add, sub, operator.mul):
+                with pytest.raises(BackendMismatchError):
+                    operation(a, alien)
+
 
 class TestQuaternionLaws:
     @given(quaternions(), quaternions(), quaternions())
@@ -331,6 +387,44 @@ class TestQuaternionStorage:
         if norm:
             assert _canonical(a.inverse()).components() == tuple(c / norm for c in conj)
         assert (a.w, a.x, a.y, a.z) == a.components() == p
+
+    @given(fraction_quads, st.one_of(fraction_quads, st.integers(-10 ** 6, 10 ** 6)))
+    def test_results_are_canonical_and_immutable(self, p, q):
+        a = RationalQuaternion(*p)
+        b = RationalQuaternion(q) if isinstance(q, int) else RationalQuaternion(*q)
+        operand = q if isinstance(q, int) else b
+        expected = [a + b, a - b, -a, a * b]
+        if isinstance(q, int):
+            expected += [b + a, b - a, b * a]
+        if not a.is_zero():
+            expected.append(a.inverse())
+        for result, want in zip(_results(a, operand), expected, strict=True):
+            _assert_built(_canonical(result), RationalQuaternion, "_n")
+            assert result.components() == want.components()
+        for alien in (PrimeFieldElement(1, 5), Rational(1)):
+            for operation in (add, sub, operator.mul):
+                with pytest.raises(BackendMismatchError):
+                    operation(a, alien)
+
+    #: pickle.dumps(RationalQuaternion(Fraction(1, 2), -3, Fraction(5, 6), 0)),
+    #: protocol 4, with ``_wrap`` a staticmethod and, earlier, a classmethod.
+    PICKLES = (
+        b"\x80\x04\x95F\x00\x00\x00\x00\x00\x00\x00\x8c\x11skewplane.scalars"
+        b"\x94\x8c\x18RationalQuaternion._wrap\x94\x93\x94(K\x03J\xee\xff\xff\xff"
+        b"K\x05K\x00t\x94K\x06\x86\x94R\x94.",
+        b"\x80\x04\x95c\x00\x00\x00\x00\x00\x00\x00\x8c\x08builtins\x94\x8c\x07"
+        b"getattr\x94\x93\x94\x8c\x11skewplane.scalars\x94\x8c\x12RationalQuaternion"
+        b"\x94\x93\x94\x8c\x05_wrap\x94\x86\x94R\x94(K\x03J\xee\xff\xff\xffK\x05K"
+        b"\x00t\x94K\x06\x86\x94R\x94.",
+    )
+
+    @pytest.mark.parametrize("data", PICKLES, ids=["staticmethod", "classmethod"])
+    def test_stored_pickles_load(self, data):
+        value = pickle.loads(data)
+        assert type(value) is RationalQuaternion
+        assert _canonical(value) == RationalQuaternion(Fraction(1, 2), -3, Fraction(5, 6))
+        assert (value._n, value._d) == ((3, -18, 5, 0), 6)
+        assert pickle.loads(pickle.dumps(value)) == value
 
     @given(fraction_quads, fraction_quads)
     def test_routes_to_one_value_compare_and_hash_equal(self, p, q):
