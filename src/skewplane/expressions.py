@@ -34,7 +34,7 @@ from functools import partial
 from typing import List, Optional, Tuple
 
 from .errors import ExpressionSyntaxError
-from .maps import CrossRatioBase, Family
+from .maps import CrossRatioBase, Family, _random_points
 from .maps import evaluate as map_evaluate
 from .plane import PlanePoint
 from .ratios import cross_ratio, ratio2, ratio3
@@ -460,13 +460,8 @@ def random_expression(field: ScalarField, rng: random.Random, depth: int = 3) ->
     kind = rng.choice(_RANDOM_KINDS)
     sub = lambda: random_expression(field, rng, depth - 1)
     if kind is MapNode:
-        points = []
-        while len(points) < 3:
-            candidate = field.random_nonzero(rng)
-            if all(candidate != existing for existing in points):
-                points.append(candidate)
-        return MapNode(rng.choice(list(Family)), Literal(points[0]),
-                       Literal(points[1]), Literal(points[2]), sub())
+        points = _random_points(field, rng)
+        return MapNode(rng.choice(list(Family)), *map(Literal, points), sub())
     node = kind(*(sub() for _ in range(kind.arity)))
     if kind is Neg and isinstance(node.args[0], Literal):
         return Literal(-node.args[0].value)

@@ -23,10 +23,10 @@ keep nothing after it; a value then costs 2 subtractions, 1 inverse and
 
 Each family's image is known exactly.  Families B, C and D take every
 value but one, ``omitted_value(base)``: a c for B, omega for C and D.
-Family A attains a value w exactly when psi = g g - t g + n is nonzero,
-where t = w + conj(w) and n = w conj(w); a vanishing psi at a central w
-is not attained, and at a non-central w (quaternion conjugates of g) it
-is left undecided.
+Family A attains w exactly when psi = g g - t g + n (t = w + conj(w),
+n = w conj(w)) is nonzero, or w is not central and equals
+h = (C-D)^-1 conj(g) (C-D): it omits g's conjugacy class but h for a
+non-real quaternion g, and g alone for a real g or a commutative field.
 
 For each family the module knows three distinguished arguments, all
 derived from the factored cross-ratio formula (a product vanishes only
@@ -53,8 +53,8 @@ the sampled values.  Verification never asserts set closure; instead
 each report records, informationally, how often sums and products of
 sampled map values are attained by the map again.  It decides that by
 image membership from the same factors: one comparison with the omitted
-value (B, C, D) or one psi test (A) per pair, the same test ``preimage``
-answers from.
+value (B, C, D) or one psi test (A) per pair, as ``preimage`` does.  The
+record's ``undecided`` count, always 0, only keeps the note's format.
 """
 
 from __future__ import annotations
@@ -248,33 +248,43 @@ class SampleSet(Immutable, Record):
         self._init(values, rejections)
 
 
+def _random_points(field: ScalarField, rng: random.Random) -> Tuple[SkewScalar, ...]:
+    """Three pairwise distinct nonzero random points: a valid base."""
+    points: List[SkewScalar] = []
+    while len(points) < 3:
+        candidate = field.random_nonzero(rng)
+        if all(candidate != existing for existing in points):
+            points.append(candidate)
+    return tuple(points)
+
+
 def sample_arguments(field: ScalarField, base: CrossRatioBase, count: int,
                      seed: int, exclude_zero_point: bool = False) -> SampleSet:
     """Draw ``count`` valid random arguments for the base's map."""
     rng = random.Random(seed)
-    excluded = [singular_point(base)]
-    if exclude_zero_point:
-        excluded.append(zero_point(base))
-    values: List[SkewScalar] = []
-    rejections = 0
-    while len(values) < count:
-        candidate = field.random_element(rng)
-        if any(candidate == point for point in excluded):
-            rejections += 1
-            continue
-        values.append(candidate)
-    return SampleSet(tuple(values), rejections)
+    draws = iter(lambda: field.random_element(rng), None)  # endless
+    return _valid_arguments(base, draws, count, exclude_zero_point)
 
 
 def exhaustive_arguments(field: ScalarField, base: CrossRatioBase,
                          exclude_zero_point: bool = False) -> SampleSet:
     """Every valid argument of a finite backend, in residue order."""
+    return _valid_arguments(base, field.elements(), None, exclude_zero_point)
+
+
+def _valid_arguments(base: CrossRatioBase, candidates, count: Optional[int],
+                     exclude_zero_point: bool) -> SampleSet:
+    """The first ``count`` (None: all) candidates other than the singular
+    point and, where values are inverted, the zero point, with the number
+    of excluded candidates passed over as the rejections."""
     excluded = [singular_point(base)]
     if exclude_zero_point:
         excluded.append(zero_point(base))
-    values = []
+    values: List[SkewScalar] = []
     rejections = 0
-    for candidate in field.elements():
+    for candidate in candidates:
+        if count is not None and len(values) >= count:
+            break
         if any(candidate == point for point in excluded):
             rejections += 1
         else:
@@ -460,7 +470,6 @@ def verify_distributive(base: CrossRatioBase,
 
 ATTAINED = "attained"
 NOT_ATTAINED = "not attained"
-UNDECIDED = "undecided"
 
 
 def omitted_value(base: CrossRatioBase) -> Optional[SkewScalar]:
@@ -480,53 +489,47 @@ def _omitted(family: Family, factors) -> SkewScalar:
     return factors[0] * factors[1] if family is Family.B else factors[0]
 
 
-def _attainment(base: CrossRatioBase, factors):
-    """The membership test of the base's image: value -> status.
+def _attainment(base: CrossRatioBase, factors) -> Callable[[SkewScalar], bool]:
+    """The membership test of the base's image: value -> attained or not.
 
     Its constants come from the base's factors, so a caller deciding many
     values pays one comparison (families B, C, D) or one psi test
     (family A) per value.
 
-    Family A: evaluate(base, Z) = w means g Z - Z w = g C - D w =: c.
-    With t = w + conj(w) and n = w conj(w) (both central), multiplying
-    the characteristic identity of w through it gives
-    psi Z = g c - c conj(w) for psi = g g - t g + n.  Nonzero psi means
-    a unique solution Z, and Z is never the singular point D (Z = D
-    would give g D = g C, so C = D): attained.  Zero psi with w central
-    means psi = (g - w)^2, so w = g, and g (X - C) = w (X - D) forces
-    C = D: not attained.  Zero psi with w not central means w is a
-    conjugacy class mate of g, which this test does not decide.
+    Family A: evaluate(base, Z) = w means T(Z) := g Z - Z w = g C - D w
+    =: c, and T'(T(Z)) = psi Z for T'(Y) = g Y - Y conj(w) (the
+    characteristic identity of w).  Nonzero psi: a unique Z, never D
+    (g D = g C would force C = D), attained.  Zero psi at a central w:
+    w = g (psi = (g - w)^2), not attained (g (X-C) = g (X-D) forces C = D).
+    Zero psi at a non-central w: image(T) = ker(T'), so w is attained
+    exactly when g c = c conj(w), that is at w = h (Johnson, Bull. AMS
+    50, 1944; Janovska and Opfer, Mitt. Math. Ges. Hamburg 27, 2008).
     """
     if base.family is not Family.A:
         omitted = _omitted(base.family, factors)
-        return lambda w: NOT_ATTAINED if w == omitted else ATTAINED
+        return lambda w: w != omitted
     g, = factors
     gg = g * g
+    _, c_, d_ = base.points
 
-    def status(w: SkewScalar) -> str:
+    def attained(w: SkewScalar) -> bool:
         conj = w.conjugate()
         if not (gg - (w + conj) * g + w * conj).is_zero():
-            return ATTAINED
-        return NOT_ATTAINED if w == conj else UNDECIDED
-    return status
+            return True
+        return w != conj and w == (c_ - d_).inverse() * g.conjugate() * (c_ - d_)
+    return attained
 
 
 def preimage(base: CrossRatioBase, value: SkewScalar):
     """Solve evaluate(base, X) = value for X, exactly.
 
-    Returns ``(status, witness)``.  The status comes from the image's
-    membership test: for families B, C and D the value is attained
-    unless it is ``omitted_value(base)``; for family A it is attained
-    when psi (see the module docstring) is nonzero, not attained when psi
-    vanishes at a central value, and UNDECIDED when psi vanishes at a
-    value that is not central (quaternions only).  Only an ATTAINED value
-    has a witness, solved in closed form and checked by evaluating it
-    back; a witness failing that check is a bug and raises.
+    Returns ``(ATTAINED, witness)`` or ``(NOT_ATTAINED, None)`` by the
+    image's membership test (module docstring).  The witness is solved in
+    closed form and checked by evaluating it back; failing that is a bug.
     """
     factors = _factors(base)
-    status = _attainment(base, factors)(value)
-    if status != ATTAINED:
-        return status, None
+    if not _attainment(base, factors)(value):
+        return NOT_ATTAINED, None
     if base.family is Family.A:
         witness = _witness_family_a(base, factors[0], value)
     else:
@@ -539,11 +542,14 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
 
 def _witness_family_a(base: CrossRatioBase, g: SkewScalar,
                       w: SkewScalar) -> SkewScalar:
-    """Family A, psi nonzero: Z = psi^-1 (g c - c conj(w)), c = g C - D w."""
+    """Family A, c = g C - D w: Z = psi^-1 (g c - c conj(w)), or where psi
+    vanishes (so g c = c conj(w)) Z = c (conj(w) - w)^-1."""
     _, c_, d_ = base.points
     c = g * c_ - d_ * w
     conj = w.conjugate()
     psi = g * g - (w + conj) * g + w * conj
+    if psi.is_zero():
+        return c * (conj - w).inverse()
     return psi.inverse() * (g * c - c * conj)
 
 
@@ -572,17 +578,16 @@ def _witness_linear(base: CrossRatioBase, factors, w: SkewScalar) -> SkewScalar:
 def _record_closure(report: VerificationReport, base: CrossRatioBase, factors,
                     samples: SampleSet, v: Dict[SkewScalar, SkewScalar],
                     operation: str) -> None:
-    attainment = _attainment(base, factors)
-    tallies = {ATTAINED: 0, NOT_ATTAINED: 0, UNDECIDED: 0}
-    count = 0
+    attained = _attainment(base, factors)
+    hits = 0
     for x, y in _rotations(samples.values, 2):
-        left, right = v[x], v[y]
-        tallies[attainment(left + right if operation == "+" else left * right)] += 1
-        count += 1
+        hits += attained(v[x] + v[y] if operation == "+" else v[x] * v[y])
+    count = len(samples.values)
     name = ("closure of sums under the map" if operation == "+"
             else "closure of products under the map")
-    note = (f"attained {tallies[ATTAINED]}, no preimage {tallies[NOT_ATTAINED]}, "
-            f"undecided {tallies[UNDECIDED]} (recorded, not asserted)")
+    # every value is decided; "undecided 0" keeps the note's parsed form
+    note = (f"attained {hits}, no preimage {count - hits}, "
+            "undecided 0 (recorded, not asserted)")
     report.results.append(IdentityResult(
         name=name, samples=count, rejections=samples.rejections,
         passed=True, informational=True, note=note))

@@ -25,8 +25,8 @@ Rationals, and quaternions too, do their arithmetic on plain integers: a
 rational is a numerator over a positive denominator with no common
 factor, a quaternion four numerators over one positive common
 denominator that shares no factor with all of them (canonical forms).
-Rationals hash like :class:`fractions.Fraction`; quaternions memoize
-their hash and use ``Fraction`` only for their component views.
+Rationals hash like :class:`fractions.Fraction`, quaternions like the tuple
+of their components; only the component views import ``fractions``.
 
 Only the public constructors validate their arguments.  Arithmetic builds
 each result in one step: it computes the canonical form itself, writes
@@ -41,12 +41,14 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from fractions import Fraction
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import BackendMismatchError, UsageError, ZeroInverseError
 
-RationalLike = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = Union[int, "Fraction"]
 
 _new = object.__new__
 
@@ -84,6 +86,15 @@ def _ratio_str(n: int, d: int) -> str:
         raise UsageError(
             "value too long to print: more than "
             f"{sys.get_int_max_str_digits()} digits") from None
+
+
+def _ratio_hash(n: int, d: int) -> int:
+    """``hash(Fraction(n, d))`` for reduced n / d, d > 0 (``hash`` makes -1 into -2)."""
+    try:
+        value = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
+    except ValueError:  # the denominator is a multiple of the modulus
+        value = sys.hash_info.inf
+    return value if n >= 0 else -value
 
 
 class Immutable:
@@ -302,13 +313,8 @@ class Rational(SkewScalar):
         return super().__eq__(other)
 
     def __hash__(self):
-        """``hash(Fraction(n, d))`` by CPython's rule (``hash`` makes -1 into -2)."""
-        n = self.numerator
-        try:
-            value = hash(hash(abs(n)) * pow(self.denominator, -1, sys.hash_info.modulus))
-        except ValueError:  # the denominator is a multiple of the modulus
-            value = sys.hash_info.inf
-        return value if n >= 0 else -value
+        """``hash(Fraction(n, d))`` (``hash`` makes -1 into -2)."""
+        return _ratio_hash(self.numerator, self.denominator)
 
     def __str__(self) -> str:
         return _ratio_str(self.numerator, self.denominator)
@@ -461,18 +467,18 @@ class RationalQuaternion(SkewScalar):
         _set_quaternion_d(out, d)
         return out
 
-    w = property(lambda self: Fraction(self._n[0], self._d), doc="The real part.")
-    x = property(lambda self: Fraction(self._n[1], self._d), doc="The i coefficient.")
-    y = property(lambda self: Fraction(self._n[2], self._d), doc="The j coefficient.")
-    z = property(lambda self: Fraction(self._n[3], self._d), doc="The k coefficient.")
+    w = property(lambda self: self.components()[0], doc="The real part.")
+    x = property(lambda self: self.components()[1], doc="The i coefficient.")
+    y = property(lambda self: self.components()[2], doc="The j coefficient.")
+    z = property(lambda self: self.components()[3], doc="The k coefficient.")
 
     def components(self):
         """The (w, x, y, z) coefficients as exact rationals."""
-        a, b, c, e = self._n
-        d = self._d
-        return (Fraction(a, d), Fraction(b, d), Fraction(c, d), Fraction(e, d))
+        from fractions import Fraction
+        return tuple(Fraction(a, self._d) for a in self._n)
 
-    _key = components
+    def _key(self):
+        return (self._n, self._d)
 
     def _from_int(self, n: int) -> "RationalQuaternion":
         return RationalQuaternion._wrap((int(n), 0, 0, 0), 1)  # canonical as it is
@@ -520,6 +526,7 @@ class RationalQuaternion(SkewScalar):
 
     def norm(self):
         """The reduced norm w^2 + x^2 + y^2 + z^2 (an exact rational)."""
+        from fractions import Fraction
         a, b, c, e = self._n
         return Fraction(a * a + b * b + c * c + e * e, self._d * self._d)
 
@@ -546,8 +553,9 @@ class RationalQuaternion(SkewScalar):
     def __hash__(self):
         try:
             return self._hash
-        except AttributeError:  # first call
-            value = hash(self.components())
+        except AttributeError:  # first call: hash(self.components())
+            value = hash(tuple(_ratio_hash(a // (g := math.gcd(a, self._d)), self._d // g)
+                               for a in self._n))
             _set_quaternion_hash(self, value)
             return value
 
@@ -712,5 +720,5 @@ class QuaternionField(ScalarField):
 
     def random_element(self, rng) -> RationalQuaternion:
         return RationalQuaternion(*(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)
+            Rational(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)
         ))

@@ -28,6 +28,7 @@ from .expressions import parse_expression, print_expression, random_expression
 from .maps import (
     CrossRatioBase,
     Family,
+    _random_points,
     exhaustive_arguments,
     sample_arguments,
     verify_addition_structure,
@@ -249,7 +250,7 @@ def run_selftest(seed: int = 0, count: int = 50) -> List[SuiteResult]:
         ok = True
         detail = f"{count} samples per identity"
         for family in Family:
-            base = _random_base(field, rng)
+            base = CrossRatioBase(rng.choice(list(Family)), _random_points(field, rng))
             plain = sample_arguments(field, base, count, rng.randrange(2 ** 30))
             invertible = sample_arguments(field, base, count, rng.randrange(2 ** 30),
                                           exclude_zero_point=True)
@@ -289,13 +290,3 @@ def run_selftest(seed: int = 0, count: int = 50) -> List[SuiteResult]:
     results.append(SuiteResult("expression grammar round trip", ok, detail))
 
     return results
-
-
-def _random_base(field: ScalarField, rng: random.Random) -> CrossRatioBase:
-    family = rng.choice(list(Family))
-    points: List = []
-    while len(points) < 3:
-        candidate = field.random_nonzero(rng)
-        if all(candidate != existing for existing in points):
-            points.append(candidate)
-    return CrossRatioBase(family, tuple(points))

@@ -460,9 +460,12 @@ class TestEvalExitContract:
 class TestStartup:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         """Each CLI call is a fresh process, so what importing the CLI
-        pulls in is paid on every call; ``-S`` keeps site's imports out."""
+        pulls in is paid on every call; ``-S`` keeps site's imports out.
+        ``fractions`` (with ``decimal``) loads only when a quaternion's
+        component views are read."""
         script = ("import sys; sys.path.insert(0, sys.argv[1]); import skewplane.cli; "
-                  "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+                  "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+                  " & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
                              capture_output=True, text=True, check=True).stdout
         assert out == "[]\n"

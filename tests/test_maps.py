@@ -18,7 +18,6 @@ from skewplane.errors import (
 from skewplane.maps import (
     ATTAINED,
     NOT_ATTAINED,
-    UNDECIDED,
     CrossRatioBase,
     Family,
     SampleSet,
@@ -306,6 +305,7 @@ class TestSampling:
         assert all(v != singular_point(base) for v in samples.values)
         assert all(v != zero_point(base) for v in samples.values)
         assert samples.rejections > 0  # 2 of 5 residues are excluded
+        assert sample_arguments(gf5, base, 0, seed=3) == SampleSet(())
 
     def test_exhaustive_arguments_gf5(self, gf5):
         base = CrossRatioBase(Family.D, tuple(gf5.from_int(n) for n in (1, 2, 4)))
@@ -375,11 +375,9 @@ class TestPreimageSolver:
                     if status == ATTAINED:
                         assert w in attainable
                         assert evaluate(base, witness) == w
-                    elif status == NOT_ATTAINED:
-                        assert w not in attainable
                     else:
-                        assert status == UNDECIDED
-                        assert family is Family.A
+                        assert (status, witness) == (NOT_ATTAINED, None)
+                        assert w not in attainable
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_every_base_matches_enumeration(self, p):
@@ -406,10 +404,69 @@ class TestPreimageSolver:
                 if x == singular_point(base):
                     continue
                 status, witness = preimage(base, evaluate(base, x))
-                if status == UNDECIDED:
-                    continue
                 assert status == ATTAINED
                 assert evaluate(base, witness) == evaluate(base, x)
+
+
+def solvable(g, w, c):
+    """Whether g Z - Z w = c has a quaternion solution Z: the reference, an
+    exact rank test of Z -> g Z - Z w as a 4x4 matrix over the rationals."""
+    units = [RationalQuaternion(*row) for row in
+             ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    columns = [(g * e - e * w).components() for e in units]
+    matrix = [list(row) for row in zip(*columns)]
+    augmented = [row + [t] for row, t in zip(matrix, c.components())]
+    return rank(matrix) == rank(augmented)
+
+
+def rank(rows):
+    """The rank of a matrix of Fractions, by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(r + 1, len(rows)):
+            factor = rows[i][col] / rows[r][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+class TestFamilyAQuaternionImage:
+    """Family A over the quaternions decides the conjugates of g, where psi
+    vanishes, exactly: against the rank test, on seeded bases."""
+
+    def test_conjugates_of_g_match_the_rank_test(self, quaternion_field):
+        q = quaternion_field
+        rng = random.Random(2024)
+        bases = [(q.i(), q.j(), q.k()),
+                 (RationalQuaternion(3), q.i(), q.j() + q.k()),
+                 (RationalQuaternion(3), RationalQuaternion(1), RationalQuaternion(5))]
+        bases += [random_base(q, rng, Family.A).points for _ in range(8)]
+        decided = Counter()
+        for points in bases:
+            base = CrossRatioBase(Family.A, points)
+            _, c_, d_ = points
+            g = (points[0] - d_) * (points[0] - c_).inverse()
+            h = (c_ - d_).inverse() * g.conjugate() * (c_ - d_)
+            targets = [g, h]
+            while len(targets) < 24:
+                conjugator = q.random_nonzero(rng)
+                targets.append(conjugator * g * conjugator.inverse())
+            for w in targets:
+                status, witness = preimage(base, w)
+                attained = solvable(g, w, g * c_ - d_ * w)
+                assert status == (ATTAINED if attained else NOT_ATTAINED), (base, w)
+                assert attained == (w == h != w.conjugate()), (base, w)
+                if attained:
+                    assert evaluate(base, witness) == w
+                else:
+                    assert witness is None
+                decided[status] += 1
+        assert decided[ATTAINED] and decided[NOT_ATTAINED]
 
 
 class TestOmittedValue:
@@ -455,7 +512,8 @@ def closure_tallies(report):
 
 class TestClosureRecord:
     def test_note_keeps_its_parsed_form(self, any_field, rng):
-        # "undecided 0" is printed too: the three tallies always appear
+        # "undecided 0" is printed too: the three tallies always appear,
+        # and every value is decided
         for family in Family:
             base = random_base(any_field, rng, family)
             for verifier, exclude in ((verify_addition_structure, False),
@@ -464,7 +522,9 @@ class TestClosureRecord:
                                            seed=rng.randrange(10 ** 6),
                                            exclude_zero_point=exclude)
                 report = verifier(base, samples)
-                assert sum(closure_tallies(report)) == report.results[-1].samples == 8
+                attained, missed, undecided = closure_tallies(report)
+                assert undecided == 0
+                assert attained + missed == report.results[-1].samples == 8
 
     def test_worked_line(self, gf5):
         base = CrossRatioBase(Family.A, tuple(gf5.from_int(n) for n in (1, 2, 3)))
@@ -487,8 +547,9 @@ class TestClosureRecord:
                     statuses = Counter(
                         preimage(base, combine(evaluate(base, x), evaluate(base, y)))[0]
                         for x, y in zip(values, values[1:] + values[:1]))
+                    assert set(statuses) <= {ATTAINED, NOT_ATTAINED}
                     assert closure_tallies(verifier(base, samples)) == (
-                        statuses[ATTAINED], statuses[NOT_ATTAINED], statuses[UNDECIDED])
+                        statuses[ATTAINED], statuses[NOT_ATTAINED], 0)
 
     @staticmethod
     def pair_reaching(base, left, target, verifier):
@@ -517,19 +578,21 @@ class TestClosureRecord:
         assert self.pair_reaching(base, gf5.from_int(3), g,
                                   verify_addition_structure) == (0, 2, 0)
 
-    def test_family_a_conjugate_of_g_is_undecided(self, quaternion_field):
+    def test_family_a_conjugate_of_g_other_than_h_has_no_preimage(self, quaternion_field):
         q = quaternion_field
         base = CrossRatioBase(Family.A, (q.i(), q.j(), q.k()))
         g = self.family_a_g(base)
         conjugator = q.one() + q.i()
         target = conjugator * g * conjugator.inverse()
         assert target != g
-        assert preimage(base, target) == (UNDECIDED, None)
+        # on this base h = (C-D)^-1 conj(g) (C-D) is g itself, the value at 0
+        assert preimage(base, target) == (NOT_ATTAINED, None)
+        assert preimage(base, g) == (ATTAINED, q.zero())
         # both products, v[x] v[y] and v[y] v[x], are conjugates of g
         # |X-C| != |X-D|, so v[x] has norm 2/3, not g's 1, and is attained
         left = evaluate(base, q.from_int(2) + q.j())
         assert self.pair_reaching(base, left, target,
-                                  verify_multiplicative_group) == (0, 0, 2)
+                                  verify_multiplicative_group) == (0, 2, 0)
 
     def test_family_a_nonvanishing_psi_is_attained(self, quaternion_field):
         q = quaternion_field

@@ -4,11 +4,12 @@ import copy
 import math
 import operator
 import pickle
+import sys
 from fractions import Fraction
 from operator import add, sub
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import nonzero_quaternions, nonzero_rationals, quaternions, rationals
 from skewplane.errors import BackendMismatchError, ZeroInverseError
@@ -427,6 +428,10 @@ class TestQuaternionStorage:
         assert pickle.loads(pickle.dumps(value)) == value
 
     @given(fraction_quads, fraction_quads)
+    # a common denominator 2M, M the hash modulus: 1/M and -3/(2M) hash to
+    # +-inf, and 1/2 (stored as M/(2M)) hashes right only once reduced
+    @example((Fraction(1, sys.hash_info.modulus), Fraction(-3, 2 * sys.hash_info.modulus),
+              Fraction(1, 2), Fraction(0)), (Fraction(1, 3),) * 4)
     def test_routes_to_one_value_compare_and_hash_equal(self, p, q):
         a, b = RationalQuaternion(*p), RationalQuaternion(*q)
         routes = [((a + b) - b, a), (b * a - b * a + a, a), (a + a, 2 * a),
