@@ -6,55 +6,60 @@ slot: A frees the first slot, B the second, C the third, D the fourth.
 ``evaluate`` and ``inverse_value`` are the definitional route: the
 cross-ratio [(A-D)^-1 (B-D)] [(B-C)^-1 (A-C)] with X in the free slot.
 
-Two of the cross-ratio's four differences never contain X, so each
-family's map is a product around X-free factors of its base:
+Each family has three distinguished arguments: the singular point S,
+where an inverted difference vanishes and the map is undefined, and the
+zero point Z0 and unit point U, sent to the additive and multiplicative
+neutrals (a product vanishes only when a factor does: a skew field has
+no zero divisors).  Two of the cross-ratio's four differences never
+contain X, so each map combines X-free constants of its base
+(``_factors``) with one inverted difference X - S.  Family A is
+(X-S)^-1 g (X-Z0); families B, C and D take the normal form
+omega + P (X-S)^-1 Q:
 
-    family A, base (B, C, D): (X-D)^-1 g (X-C),    g = (B-D)(B-C)^-1
-    family B, base (A, C, D): a (X-D)(X-C)^-1 c,   a = (A-D)^-1, c = A-C
-    family C, base (A, B, D): omega (B-X)^-1 (A-X), omega = (A-D)^-1 (B-D)
-    family D, base (A, B, C): (A-X)^-1 (B-X) omega, omega = (B-C)^-1 (A-C)
+    family  base       S  Z0  U  constants
+    A       (B, C, D)  D  C   B  g = (B-D)(B-C)^-1
+    B       (A, C, D)  C  D   A  omega = a c, P = a (C-D), Q = c,
+                                 where a = (A-D)^-1 and c = A-C
+    C       (A, B, D)  B  A   D  omega = (A-D)^-1 (B-D), P = omega, Q = B-A
+    D       (A, B, C)  A  B   C  omega = (B-C)^-1 (A-C), P = 1,
+                                 Q = (A-B) omega
 
-The inverse map, with the final two slots swapped, uses the same factors
-inverted: (X-C)^-1 g^-1 (X-D) for A, c^-1 (X-C)(X-D)^-1 a^-1 for B,
-(A-X)^-1 (B-X) omega^-1 for C and omega^-1 (B-X)^-1 (A-X) for D.  The
-verify_* runners and ``preimage`` compute the factors once per call and
-keep nothing after it; a value then costs 2 subtractions, 1 inverse and
-2 products (3 for B) instead of the cross-ratio's 4, 2 and 3.
+(B from (X-D)(X-C)^-1 = 1 + (C-D)(X-C)^-1, C from (B-X)^-1 (A-X) =
+1 + (X-B)^-1 (B-A), D from (A-X)^-1 (B-X) = 1 + (X-A)^-1 (A-B).)  The
+verify_* runners and ``preimage`` compute the constants once per call
+and keep nothing after it; a value then costs 1 subtraction, 1 inverse,
+2 products and 1 sum (A: 2 subtractions, 1 inverse, 2 products) instead
+of the cross-ratio's 4 subtractions, 2 inverses and 3 products.
 
-Each family's image is known exactly.  Families B, C and D take every
-value but one, ``omitted_value(base)``: a c for B, omega for C and D.
-Family A attains w exactly when psi = g g - t g + n (t = w + conj(w),
-n = w conj(w)) is nonzero, or w is not central and equals
-h = (C-D)^-1 conj(g) (C-D): it omits g's conjugacy class but h for a
-non-real quaternion g, and g alone for a real g or a commutative field.
+Each family's image is known exactly.  P and Q are nonzero, and
+(X-S)^-1 takes every nonzero value as X runs over the line but S, so
+P (X-S)^-1 Q takes every value but 0: families B, C and D take every
+value but ``omitted_value(base)`` = omega, and w != omega is attained at
+Z = S + Q (w-omega)^-1 P.  Family A attains w exactly when
+psi = g g - t g + n (t = w + conj(w), n = w conj(w)) is nonzero, or w is
+not central and equals h = (C-D)^-1 conj(g) (C-D): it omits g's
+conjugacy class but h for a non-real quaternion g, and g alone for a
+real g or a commutative field.
 
-For each family the module knows three distinguished arguments, all
-derived from the factored cross-ratio formula (a product vanishes only
-when a factor does, because a skew field has no zero divisors):
-
-* the singular point, where an inverted difference would vanish and the
-  map is undefined (family A: D, family B: C, family C: B, family D: A);
-* the zero point, the argument the map sends to the additive neutral
-  (family A: C, family B: D, family C: A, family D: B);
-* the unit point, sent to the multiplicative neutral
-  (family A: B, family B: A, family C: D, family D: C).
-
-``inverse_value`` swaps the contents of the two final cross-ratio slots;
-the swapped product telescopes against the original on both sides, so
-the inverse law holds two-sidedly.
+The inverse map, the cross-ratio with the contents of the two final
+slots swapped, is the map of the swapped base: A and B on (p0, p2, p1),
+C and D exchanged on the same points.  The swapped product telescopes
+against the original on both sides, so the inverse law holds
+two-sidedly.
 
 The verify_* runners re-check all of this pointwise on explicit sample
 sets and return structured reports (one line per identity) so the CLI
 can run them on user-supplied bases.  Each runner computes the map once
-per sampled argument, on the factors, and its identities share those
-values; the zero and unit points are evaluated by the definitional
-route, and the inverse law checks the inverse map's own formula against
-the sampled values.  Verification never asserts set closure; instead
-each report records, informationally, how often sums and products of
-sampled map values are attained by the map again.  It decides that by
-image membership from the same factors: one comparison with the omitted
-value (B, C, D) or one psi test (A) per pair, as ``preimage`` does.  The
-record's ``undecided`` count, always 0, only keeps the note's format.
+per sampled argument, from the constants, and its identities share
+those values; the zero and unit points are evaluated by the definitional
+route, and the inverse law checks the swapped base's map, from its own
+constants, against the sampled values.  Verification never asserts set
+closure; instead each report records, informationally, how often sums
+and products of sampled map values are attained by the map again.  It
+decides that by image membership from the same constants: one
+comparison with omega (B, C, D) or one psi test (A) per pair, as
+``preimage`` does.  The record's ``undecided`` count, always 0, only
+keeps the note's format.
 """
 
 from __future__ import annotations
@@ -160,73 +165,62 @@ def inverse_value(base: CrossRatioBase, x: SkewScalar) -> SkewScalar:
     both sides.
     """
     _check_argument(base, x, invertible=True)
-    s0, s1, s2, s3 = base.slots(x)
-    return cross_ratio(s0, s1, s3, s2)
+    return cross_ratio(*_swapped(base).slots(x))
+
+
+def _swapped(base: CrossRatioBase) -> CrossRatioBase:
+    """The base whose map is the base's cross-ratio with the final two
+    slots swapped: A and B on (p0, p2, p1), C and D exchanged."""
+    p0, p1, p2 = base.points
+    if base.family is Family.A or base.family is Family.B:
+        return CrossRatioBase(base.family, (p0, p2, p1))
+    return CrossRatioBase(Family.D if base.family is Family.C else Family.C,
+                          base.points)
 
 
 # ---------------------------------------------------------------------------
-# the maps on their X-free factors (table in the module docstring)
+# the maps on their X-free constants (table in the module docstring)
 
 
 def _factors(base: CrossRatioBase) -> Tuple[SkewScalar, ...]:
-    """The X-free factors of the base's map: (g,), (a, c) or (omega,)."""
+    """The X-free constants of the base's map: (g,) or (omega, P, Q)."""
     p0, p1, p2 = base.points
     if base.family is Family.A:
         return ((p0 - p2) * (p0 - p1).inverse(),)
     if base.family is Family.B:
-        return ((p0 - p2).inverse(), p0 - p1)
+        a, c = (p0 - p2).inverse(), p0 - p1
+        return (a * c, a * (p1 - p2), c)
     if base.family is Family.C:
-        return ((p0 - p2).inverse() * (p1 - p2),)
-    return ((p1 - p2).inverse() * (p0 - p2),)
+        omega = (p0 - p2).inverse() * (p1 - p2)
+        return (omega, omega, p1 - p0)
+    omega = (p1 - p2).inverse() * (p0 - p2)
+    return (omega, p0._from_int(1), (p0 - p1) * omega)
 
 
-def _formula(family: Family, points, factors) -> Callable[[SkewScalar], SkewScalar]:
-    """X -> the family's map value on these base points, from their factors."""
-    p0, p1, p2 = points
-    if family is Family.A:
-        g, = factors
-        return lambda x: (x - p2).inverse() * g * (x - p1)
-    if family is Family.B:
-        a, c = factors
-        return lambda x: a * (x - p2) * (x - p1).inverse() * c
-    omega, = factors
-    if family is Family.C:
-        return lambda x: omega * (p1 - x).inverse() * (p0 - x)
-    return lambda x: (p0 - x).inverse() * (p1 - x) * omega
-
-
-def _map_function(base: CrossRatioBase, factors) -> Callable[[SkewScalar], SkewScalar]:
-    """X -> evaluate(base, X), from the base's factors."""
-    value = _formula(base.family, base.points, factors)
+def _map_function(base: CrossRatioBase, factors, checked: Optional[CrossRatioBase] = None,
+                  invertible: bool = False) -> Callable[[SkewScalar], SkewScalar]:
+    """X -> evaluate(base, X), from the base's factors, on the arguments
+    ``_check_argument`` admits for ``checked`` (default: the base)."""
+    checked = base if checked is None else checked
+    s = singular_point(base)
+    if base.family is Family.A:
+        (g,), z = factors, zero_point(base)
+        value = lambda x: (x - s).inverse() * g * (x - z)
+    else:
+        omega, p, q = factors
+        value = lambda x: omega + p * (x - s).inverse() * q
 
     def at(x: SkewScalar) -> SkewScalar:
-        _check_argument(base, x)
+        _check_argument(checked, x, invertible)
         return value(x)
     return at
 
 
-def _inverse_function(base: CrossRatioBase,
-                      factors) -> Callable[[SkewScalar], SkewScalar]:
-    """X -> inverse_value(base, X), from the base's factors inverted.
-
-    Swapping the final two cross-ratio slots swaps the last two base
-    points of A and B, and turns C and D into each other on the same
-    points; the swapped map's factors are the inverses of the base's.
-    """
-    family, (p0, p1, p2) = base.family, base.points
-    if family is Family.A:
-        inverse = _formula(family, (p0, p2, p1), (factors[0].inverse(),))
-    elif family is Family.B:
-        # a^-1 = A-D is one subtraction, cheaper than inverting a
-        inverse = _formula(family, (p0, p2, p1), (factors[1].inverse(), p0 - p2))
-    else:
-        swapped = Family.D if family is Family.C else Family.C
-        inverse = _formula(swapped, base.points, (factors[0].inverse(),))
-
-    def at(x: SkewScalar) -> SkewScalar:
-        _check_argument(base, x, invertible=True)
-        return inverse(x)
-    return at
+def _inverse_function(base: CrossRatioBase) -> Callable[[SkewScalar], SkewScalar]:
+    """X -> inverse_value(base, X): the map of the swapped base, from its
+    own factors, on the arguments of the base."""
+    swapped = _swapped(base)
+    return _map_function(swapped, _factors(swapped), base, invertible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +408,7 @@ def verify_multiplicative_group(base: CrossRatioBase,
                                 samples: SampleSet) -> VerificationReport:
     """Pointwise checks of the group identities: associativity, two-sided
     unit neutrality, and the two-sided inverse law, against the inverse
-    map on the inverted factors (``inverse_value``'s formula).
+    map of the swapped base (``inverse_value``'s formula).
 
     The sample set must exclude the zero point (its value has no
     inverse); build it with ``exclude_zero_point=True``.
@@ -436,7 +430,7 @@ def verify_multiplicative_group(base: CrossRatioBase,
            and v[x] * v[unit_arg] == v[x] and v[unit_arg] * v[x] == v[x],
            lambda x: f"X={x}, unit point={unit_arg}")
 
-    inverse_of = _inverse_function(base, factors)
+    inverse_of = _inverse_function(base)
 
     def inverse_law(x):
         inverse = inverse_of(x)
@@ -475,18 +469,10 @@ NOT_ATTAINED = "not attained"
 def omitted_value(base: CrossRatioBase) -> Optional[SkewScalar]:
     """The one value the map never takes (table in the module docstring).
 
-    Families B, C and D each factor the map as a fixed product around a
-    term 1 + (nonzero)^-1 (nonzero), which takes every value but 1.
-    Family A has no single omitted value: None.
+    Families B, C and D omit omega of their normal form
+    omega + P (X-S)^-1 Q.  Family A has no single omitted value: None.
     """
-    if base.family is Family.A:
-        return None
-    return _omitted(base.family, _factors(base))
-
-
-def _omitted(family: Family, factors) -> SkewScalar:
-    """omitted_value from the factors of a family B, C or D base."""
-    return factors[0] * factors[1] if family is Family.B else factors[0]
+    return None if base.family is Family.A else _factors(base)[0]
 
 
 def _attainment(base: CrossRatioBase, factors) -> Callable[[SkewScalar], bool]:
@@ -506,8 +492,8 @@ def _attainment(base: CrossRatioBase, factors) -> Callable[[SkewScalar], bool]:
     50, 1944; Janovska and Opfer, Mitt. Math. Ges. Hamburg 27, 2008).
     """
     if base.family is not Family.A:
-        omitted = _omitted(base.family, factors)
-        return lambda w: w != omitted
+        omega = factors[0]
+        return lambda w: w != omega
     g, = factors
     gg = g * g
     _, c_, d_ = base.points
@@ -533,7 +519,8 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
     if base.family is Family.A:
         witness = _witness_family_a(base, factors[0], value)
     else:
-        witness = _witness_linear(base, factors, value)
+        omega, p, q = factors
+        witness = singular_point(base) + q * (value - omega).inverse() * p
     if witness == singular_point(base) or evaluate(base, witness) != value:  # pragma: no cover
         raise AssertionError(f"preimage witness {witness} of {value} failed "
                              f"its back-check, {base}")
@@ -551,28 +538,6 @@ def _witness_family_a(base: CrossRatioBase, g: SkewScalar,
     if psi.is_zero():
         return c * (conj - w).inverse()
     return psi.inverse() * (g * c - c * conj)
-
-
-def _witness_linear(base: CrossRatioBase, factors, w: SkewScalar) -> SkewScalar:
-    """Families B, C, D: the defining equation is linear in Z.
-
-    Each reduces to wp = 1 exactly at the omitted value, so for an
-    attained value the inverted (1 - wp) or (wp - 1) is nonzero.
-    """
-    _, one = _zero_one(base)
-    p0, p1, p2 = base.points
-    if base.family is Family.B:
-        # (Z-D)(Z-C)^-1 = (A-D) w c^-1 =: wp;  (1-wp) Z = D - wp C
-        a_, c_, d_ = p0, p1, p2
-        wp = (a_ - d_) * w * factors[1].inverse()
-        return (one - wp).inverse() * (d_ - wp * c_)
-    if base.family is Family.C:
-        # (B-Z)^-1 (A-Z) = omega^-1 w =: wp;  Z (wp - 1) = B wp - A
-        wp = factors[0].inverse() * w
-        return (p1 * wp - p0) * (wp - one).inverse()
-    # Family D: (A-Z)^-1 (B-Z) = w omega^-1 =: wp;  Z (wp - 1) = A wp - B
-    wp = w * factors[0].inverse()
-    return (p0 * wp - p1) * (wp - one).inverse()
 
 
 def _record_closure(report: VerificationReport, base: CrossRatioBase, factors,

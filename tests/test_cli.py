@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from skewplane import selftest
 from skewplane.cli import load_desargues_config, main, parse_backend
 from skewplane.errors import ExpressionSyntaxError
 from skewplane.expressions import (
@@ -21,13 +22,23 @@ from skewplane.expressions import (
     parse_point,
     print_expression,
 )
+from skewplane.maps import CrossRatioBase, Family
 from skewplane.plane import PlanePoint
-from skewplane.scalars import PrimeField, QuaternionField, Rational, RationalField
+from skewplane.scalars import (
+    PrimeField,
+    PrimeFieldElement,
+    QuaternionField,
+    Rational,
+    RationalField,
+    RationalQuaternion,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
 #: A config file whose second line holds the Latin-1 byte 0xE9 at offset 13.
 LATIN1_CONFIG = str(Path(__file__).resolve().parent / "data" / "latin1.cfg")
+#: Blank-line separated blocks: "$ <verify argv>", its stdout, "exit <code>".
+VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_golden.txt"
 
 #: psi_12 = 399165290221 * 798330580441 and psi_13, the least strong
 #: pseudoprimes to the first 12 and the first 13 prime bases.
@@ -380,6 +391,39 @@ class TestSelftestCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["selftest", "--count", "0"])
         assert excinfo.value.code == 2
+
+    def test_map_theorems_check_every_family_on_every_backend(self, monkeypatch):
+        calls = []
+
+        def record(family, points):
+            calls.append((type(points[0]), family))
+            return CrossRatioBase(family, points)
+
+        monkeypatch.setattr(selftest, "CrossRatioBase", record)
+        assert all(result.passed for result in selftest.run_selftest(seed=0, count=3))
+        # one random base per backend and family, then the exhaustive GF(5) base
+        assert calls == [(kind, family)
+                         for kind in (Rational, PrimeFieldElement, RationalQuaternion)
+                         for family in Family] + [(PrimeFieldElement, Family.A)]
+
+
+def verify_golden_cases():
+    for block in VERIFY_GOLDEN.read_text(encoding="utf-8").split("\n\n"):
+        command, *stdout, status = block.strip("\n").split("\n")
+        argv = shlex.split(command.removeprefix("$ "))
+        yield pytest.param(argv, "".join(line + "\n" for line in stdout),
+                           int(status.removeprefix("exit ")),
+                           id=f"{argv[argv.index('--backend') + 1]}-{argv[2]}")
+
+
+class TestVerifyGolden:
+    """verify's report bytes, closure tallies included, for each family on a
+    rational, a GF(7) and a quaternion base."""
+
+    @pytest.mark.parametrize("argv, stdout, code", verify_golden_cases())
+    def test_report_is_unchanged(self, capsys, argv, stdout, code):
+        assert main(argv) == code
+        assert capsys.readouterr() == (stdout, "")
 
 
 class TestExitCodeMatrix:

@@ -198,12 +198,13 @@ class TestInverseValue:
 
 
 def assert_routes_agree(base, arguments):
-    """The verifiers' map and inverse map, from the base's X-free factors,
-    equal evaluate and inverse_value at every admissible argument, and
-    refuse the same arguments; returns how many values were compared."""
+    """The verifiers' map, from the base's X-free factors, and inverse map,
+    from the swapped base's, equal evaluate and inverse_value at every
+    admissible argument, and refuse the same arguments; returns how many
+    values were compared."""
     factors = maps_module._factors(base)
     value = maps_module._map_function(base, factors)
-    inverse = maps_module._inverse_function(base, factors)
+    inverse = maps_module._inverse_function(base)
     singular, zero = singular_point(base), zero_point(base)
     compared = 0
     for x in arguments:
@@ -267,24 +268,26 @@ class TestOpCounts:
                          RationalQuaternion(Fraction(1, 2), 0, -1, 1),
                          RationalQuaternion(-1, 2, 0, 0)))
 
-    # Both runners: the X-free factors (2 sub, 1 inverse, 1 mul; B: no mul)
-    # and three sampled values (2 sub, 1 inverse, 2 mul each; B: 3 mul).
+    # Both runners: the X-free constants (A: 2 sub, 1 inverse, 1 mul;
+    # B: 3 sub, 1 inverse, 2 mul; C: 3 sub, 1 inverse, 1 mul; D: 3 sub,
+    # 1 inverse, 2 mul) and three sampled values (A: 2 sub, 1 inverse,
+    # 2 mul each; B, C, D: 1 sub, 1 inverse, 2 mul, 1 add each).
     # Distributive: both laws, 3 rotations of 3 mul and 2 add each.
     # Group: the unit point by evaluate (4 sub, 2 inverse, 3 mul);
-    # associativity 12 mul, unit neutrality 6; the inverted factors
-    # (1 inverse; B: and a^-1 = A-D, 1 sub) and three inverse values like
-    # the values; the inverse law 6 mul; 3 closure products; the
-    # attainment test: for A g g and three psi (2 mul, 2 add, 1 sub
-    # each), for B the omitted value a c (1 mul).
+    # associativity 12 mul, unit neutrality 6; the swapped base's
+    # constants (A and B cost as their own, C as D's and D as C's) and
+    # three inverse values like the values; the inverse law 6 mul;
+    # 3 closure products; the attainment test: for A g g and three psi
+    # (2 mul, 2 add, 1 sub each), for B, C and D none (omega is given).
     @pytest.mark.parametrize("family, distributive, group", [
         (Family.A, {"__sub__": 8, "inverse": 4, "__mul__": 25, "__add__": 12},
-         {"__sub__": 21, "inverse": 10, "__mul__": 50, "__add__": 6}),
-        (Family.B, {"__sub__": 8, "inverse": 4, "__mul__": 27, "__add__": 12},
-         {"__sub__": 19, "inverse": 10, "__mul__": 49}),
-        (Family.C, {"__sub__": 8, "inverse": 4, "__mul__": 25, "__add__": 12},
-         {"__sub__": 18, "inverse": 10, "__mul__": 43}),
-        (Family.D, {"__sub__": 8, "inverse": 4, "__mul__": 25, "__add__": 12},
-         {"__sub__": 18, "inverse": 10, "__mul__": 43}),
+         {"__sub__": 23, "inverse": 10, "__mul__": 51, "__add__": 6}),
+        (Family.B, {"__sub__": 6, "inverse": 4, "__mul__": 26, "__add__": 15},
+         {"__sub__": 16, "inverse": 10, "__mul__": 46, "__add__": 6}),
+        (Family.C, {"__sub__": 6, "inverse": 4, "__mul__": 25, "__add__": 15},
+         {"__sub__": 16, "inverse": 10, "__mul__": 45, "__add__": 6}),
+        (Family.D, {"__sub__": 6, "inverse": 4, "__mul__": 26, "__add__": 15},
+         {"__sub__": 16, "inverse": 10, "__mul__": 45, "__add__": 6}),
     ])
     def test_each_value_pays_for_the_free_point_only(self, monkeypatch, family,
                                                      distributive, group):
