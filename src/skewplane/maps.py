@@ -21,15 +21,15 @@ omega + P (X-S)^-1 Q:
     B       (A, C, D)  C  D   A  omega = a c, P = a (C-D), Q = c,
                                  where a = (A-D)^-1 and c = A-C
     C       (A, B, D)  B  A   D  omega = (A-D)^-1 (B-D), P = omega, Q = B-A
-    D       (A, B, C)  A  B   C  omega = (B-C)^-1 (A-C), P = 1,
-                                 Q = (A-B) omega
+    D       (A, B, C)  A  B   C  omega = (B-C)^-1 (A-C), P = 1 (not
+                                 multiplied), Q = (A-B) omega
 
 (B from (X-D)(X-C)^-1 = 1 + (C-D)(X-C)^-1, C from (B-X)^-1 (A-X) =
 1 + (X-B)^-1 (B-A), D from (A-X)^-1 (B-X) = 1 + (X-A)^-1 (A-B).)  The
 verify_* runners and ``preimage`` compute the constants once per call
 and keep nothing after it; a value then costs 1 subtraction, 1 inverse,
-2 products and 1 sum (A: 2 subtractions, 1 inverse, 2 products) instead
-of the cross-ratio's 4 subtractions, 2 inverses and 3 products.
+2 products (A, B, C; D: 1) and 1 sum (A: 2 subtractions and no sum)
+instead of the cross-ratio's 4 subtractions, 2 inverses and 3 products.
 
 Each family's image is known exactly.  P and Q are nonzero, and
 (X-S)^-1 takes every nonzero value as X runs over the line but S, so
@@ -49,24 +49,34 @@ two-sidedly.
 
 The verify_* runners re-check all of this pointwise on explicit sample
 sets and return structured reports (one line per identity) so the CLI
-can run them on user-supplied bases.  Each runner computes the map once
-per sampled argument, from the constants, and its identities share
-those values; the zero and unit points are evaluated by the definitional
-route, and the inverse law checks the swapped base's map, from its own
-constants, against the sampled values.  Verification never asserts set
-closure; instead each report records, informationally, how often sums
-and products of sampled map values are attained by the map again.  It
-decides that by image membership from the same constants: one
-comparison with omega (B, C, D) or one psi test (A) per pair, as
-``preimage`` does.  The record's ``undecided`` count, always 0, only
-keeps the note's format.
+can run them on user-supplied bases.  Each call builds its tables once,
+in sample order: x_i, the map value at the i-th argument (from the
+constants, once per distinct argument; at the zero or unit point by the
+definitional route), y_i = x_i+1 and z_i = x_i+2 (indices cyclic), the
+sums s_i = x_i + y_i, the products p_i = x_i y_i and, for distributivity
+only, q_i = x_i z_i.  Every identity computes both sides from them:
+s_i + z_i = x_i + s_i+1, s_i = y_i + x_i, p_i z_i = x_i p_i+1,
+x_i s_i+1 = p_i + q_i and s_i z_i = q_i + p_i+1.  The inverse law checks
+the swapped base's map, from its own constants, against the x_i.  A call
+on 3 samples costs (subtractions, inverses, products, sums; tests pin it):
+
+    runner        A             B            C            D
+    addition      15/6/17/21    10/6/11/18   10/6/10/18   10/6/8/18
+    distributive  8/4/19/9      6/4/20/12    6/4/19/12    6/4/17/12
+    group         23/10/45/6    16/10/40/6   16/10/36/6   16/10/36/6
+
+Verification never asserts set closure; each report records,
+informationally, how many of the s_i (or p_i) the map attains again, by
+image membership from the same constants: one comparison with omega
+(B, C, D) or one psi test (A) per value, as ``preimage`` does.  The
+record's ``undecided`` count, always 0, only keeps the note's format.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import (
     InvalidBaseError,
@@ -183,7 +193,8 @@ def _swapped(base: CrossRatioBase) -> CrossRatioBase:
 
 
 def _factors(base: CrossRatioBase) -> Tuple[SkewScalar, ...]:
-    """The X-free constants of the base's map: (g,) or (omega, P, Q)."""
+    """The X-free constants of the base's map: (g,) or (omega, P, Q), with
+    P = None for family D's P = 1."""
     p0, p1, p2 = base.points
     if base.family is Family.A:
         return ((p0 - p2) * (p0 - p1).inverse(),)
@@ -194,7 +205,7 @@ def _factors(base: CrossRatioBase) -> Tuple[SkewScalar, ...]:
         omega = (p0 - p2).inverse() * (p1 - p2)
         return (omega, omega, p1 - p0)
     omega = (p1 - p2).inverse() * (p0 - p2)
-    return (omega, p0._from_int(1), (p0 - p1) * omega)
+    return (omega, None, (p0 - p1) * omega)  # P = 1: no product
 
 
 def _map_function(base: CrossRatioBase, factors, checked: Optional[CrossRatioBase] = None,
@@ -208,7 +219,8 @@ def _map_function(base: CrossRatioBase, factors, checked: Optional[CrossRatioBas
         value = lambda x: (x - s).inverse() * g * (x - z)
     else:
         omega, p, q = factors
-        value = lambda x: omega + p * (x - s).inverse() * q
+        value = ((lambda x: omega + (x - s).inverse() * q) if p is None
+                 else lambda x: omega + p * (x - s).inverse() * q)
 
     def at(x: SkewScalar) -> SkewScalar:
         _check_argument(checked, x, invertible)
@@ -336,44 +348,36 @@ class VerificationReport(Record):
         return [f"[{self.title}]"] + [r.line() for r in self.results]
 
 
-def _rotations(values: Sequence[SkewScalar], width: int):
-    """n deterministic index-rotated tuples of the given width."""
-    n = len(values)
-    for i in range(n):
-        yield tuple(values[(i + j) % n] for j in range(width))
+def _shifted(row: List[SkewScalar], k: int) -> List[SkewScalar]:
+    """row[i + k] at index i, cyclically, for k = 1 or 2 and any length."""
+    return row[k:] + row[:k]
 
 
-def _zero_one(base: CrossRatioBase) -> Tuple[SkewScalar, SkewScalar]:
-    anchor = base.points[0]
-    return anchor._from_int(0), anchor._from_int(1)
-
-
-def _map_values(base: CrossRatioBase, factors, arguments,
-                anchor: Optional[SkewScalar] = None) -> Dict[SkewScalar, SkewScalar]:
-    """The map value once per distinct argument, for the identities to share:
-    from the factors, and by ``evaluate`` at ``anchor`` (the zero or unit
-    point), so the neutral-element checks also test the definitional route."""
+def _map_row(base: CrossRatioBase, factors, samples: SampleSet,
+             anchor: Optional[SkewScalar] = None):
+    """The map values in sample order, once per distinct argument, from the
+    factors, and at ``anchor`` (the zero or unit point, also where sampled)
+    by ``evaluate``, so the neutral-element checks test the definitional route."""
     value = _map_function(base, factors)
-    v = {x: value(x) for x in arguments}
+    v = {x: value(x) for x in samples.values}
     if anchor is not None:
         v[anchor] = evaluate(base, anchor)
-    return v
+    return [v[x] for x in samples.values], v.get(anchor)
 
 
-def _check(report: VerificationReport, name: str, samples: SampleSet,
-           instances, predicate, describe) -> None:
-    counterexample = None
-    passed = True
-    count = 0
-    for instance in instances:
-        count += 1
-        if not predicate(*instance):
-            passed = False
-            counterexample = describe(*instance)
-            break
+def _check(report: VerificationReport, name: str, samples: SampleSet, width: int,
+           holds: Callable[[int], bool], extra: str = "") -> None:
+    """Record whether holds(i) at every sample index i; a failure names the
+    ``width`` arguments from the first failing index on, cyclically."""
+    args = samples.values
+    failed = next((i for i in range(len(args)) if not holds(i)), None)
+    counterexample = None if failed is None else ", ".join(
+        f"{label}={args[(failed + j) % len(args)]}"
+        for j, label in enumerate("XYZ"[:width])) + extra
     report.results.append(IdentityResult(
-        name=name, samples=count, rejections=samples.rejections,
-        passed=passed, counterexample=counterexample))
+        name=name, samples=len(args) if failed is None else failed + 1,
+        rejections=samples.rejections, passed=failed is None,
+        counterexample=counterexample))
 
 
 def verify_addition_structure(base: CrossRatioBase,
@@ -381,26 +385,23 @@ def verify_addition_structure(base: CrossRatioBase,
     """Pointwise checks of the additive identities: associativity,
     commutativity, and the zero element, plus the informational closure
     record for sums of map values."""
-    zero, _ = _zero_one(base)
-    values = samples.values
     zero_arg = zero_point(base)
     factors = _factors(base)
-    v = _map_values(base, factors, values, zero_arg)
+    x, zero_value = _map_row(base, factors, samples, zero_arg)
+    y, z = _shifted(x, 1), _shifted(x, 2)
+    s = [a + b for a, b in zip(x, y)]
+    s1 = _shifted(s, 1)
     report = VerificationReport(title=f"addition structure, {base}")
 
-    _check(report, "value addition associativity", samples, _rotations(values, 3),
-           lambda x, y, z: (v[x] + v[y]) + v[z] == v[x] + (v[y] + v[z]),
-           lambda x, y, z: f"X={x}, Y={y}, Z={z}")
-    _check(report, "value addition commutativity", samples, _rotations(values, 2),
-           lambda x, y: v[x] + v[y] == v[y] + v[x],
-           lambda x, y: f"X={x}, Y={y}")
+    _check(report, "value addition associativity", samples, 3,
+           lambda i: s[i] + z[i] == x[i] + s1[i])
+    _check(report, "value addition commutativity", samples, 2,
+           lambda i: s[i] == y[i] + x[i])
+    zero_ok = zero_value.is_zero()
+    _check(report, "zero element neutrality", samples, 1,
+           lambda i: zero_ok and x[i] + zero_value == x[i], f", zero point={zero_arg}")
 
-    zero_ok = v[zero_arg] == zero
-    _check(report, "zero element neutrality", samples, _rotations(values, 1),
-           lambda x: zero_ok and v[x] + v[zero_arg] == v[x],
-           lambda x: f"X={x}, zero point={zero_arg}")
-
-    _record_closure(report, base, factors, samples, v, operation="+")
+    _record_closure(report, base, factors, samples, s, operation="+")
     return report
 
 
@@ -413,49 +414,49 @@ def verify_multiplicative_group(base: CrossRatioBase,
     The sample set must exclude the zero point (its value has no
     inverse); build it with ``exclude_zero_point=True``.
     """
-    _, one = _zero_one(base)
-    values = samples.values
+    one = base.points[0]._from_int(1)
     unit_arg = unit_point(base)
     factors = _factors(base)
-    v = _map_values(base, factors, values, unit_arg)
+    x, u = _map_row(base, factors, samples, unit_arg)
+    z = _shifted(x, 2)
+    p = [a * b for a, b in zip(x, _shifted(x, 1))]
+    p1 = _shifted(p, 1)
     report = VerificationReport(title=f"multiplicative group, {base}")
 
-    _check(report, "value multiplication associativity", samples, _rotations(values, 3),
-           lambda x, y, z: (v[x] * v[y]) * v[z] == v[x] * (v[y] * v[z]),
-           lambda x, y, z: f"X={x}, Y={y}, Z={z}")
-
-    unit_ok = v[unit_arg] == one
-    _check(report, "unit element two-sided neutrality", samples, _rotations(values, 1),
-           lambda x: unit_ok
-           and v[x] * v[unit_arg] == v[x] and v[unit_arg] * v[x] == v[x],
-           lambda x: f"X={x}, unit point={unit_arg}")
+    _check(report, "value multiplication associativity", samples, 3,
+           lambda i: p[i] * z[i] == x[i] * p1[i])
+    unit_ok = u == one
+    _check(report, "unit element two-sided neutrality", samples, 1,
+           lambda i: unit_ok and x[i] * u == x[i] and u * x[i] == x[i],
+           f", unit point={unit_arg}")
 
     inverse_of = _inverse_function(base)
 
-    def inverse_law(x):
-        inverse = inverse_of(x)
-        return v[x] * inverse == one and inverse * v[x] == one
+    def inverse_law(i):
+        inverse = inverse_of(samples.values[i])
+        return x[i] * inverse == one and inverse * x[i] == one
 
-    _check(report, "two-sided inverse law", samples, _rotations(values, 1),
-           inverse_law, lambda x: f"X={x}")
+    _check(report, "two-sided inverse law", samples, 1, inverse_law)
 
-    _record_closure(report, base, factors, samples, v, operation="*")
+    _record_closure(report, base, factors, samples, p, operation="*")
     return report
 
 
 def verify_distributive(base: CrossRatioBase,
                         samples: SampleSet) -> VerificationReport:
     """Pointwise checks of both distributive identities on sampled triples."""
-    values = samples.values
-    v = _map_values(base, _factors(base), values)
+    x, _ = _map_row(base, _factors(base), samples)
+    y, z = _shifted(x, 1), _shifted(x, 2)
+    s = [a + b for a, b in zip(x, y)]
+    p = [a * b for a, b in zip(x, y)]
+    q = [a * c for a, c in zip(x, z)]
+    s1, p1 = _shifted(s, 1), _shifted(p, 1)
     report = VerificationReport(title=f"distributivity, {base}")
 
-    _check(report, "left distributivity", samples, _rotations(values, 3),
-           lambda x, y, z: v[x] * (v[y] + v[z]) == v[x] * v[y] + v[x] * v[z],
-           lambda x, y, z: f"X={x}, Y={y}, Z={z}")
-    _check(report, "right distributivity", samples, _rotations(values, 3),
-           lambda x, y, z: (v[x] + v[y]) * v[z] == v[x] * v[z] + v[y] * v[z],
-           lambda x, y, z: f"X={x}, Y={y}, Z={z}")
+    _check(report, "left distributivity", samples, 3,
+           lambda i: x[i] * s1[i] == p[i] + q[i])
+    _check(report, "right distributivity", samples, 3,
+           lambda i: s[i] * z[i] == q[i] + p1[i])
     return report
 
 
@@ -520,7 +521,8 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
         witness = _witness_family_a(base, factors[0], value)
     else:
         omega, p, q = factors
-        witness = singular_point(base) + q * (value - omega).inverse() * p
+        t = q * (value - omega).inverse()
+        witness = singular_point(base) + (t if p is None else t * p)
     if witness == singular_point(base) or evaluate(base, witness) != value:  # pragma: no cover
         raise AssertionError(f"preimage witness {witness} of {value} failed "
                              f"its back-check, {base}")
@@ -541,12 +543,9 @@ def _witness_family_a(base: CrossRatioBase, g: SkewScalar,
 
 
 def _record_closure(report: VerificationReport, base: CrossRatioBase, factors,
-                    samples: SampleSet, v: Dict[SkewScalar, SkewScalar],
+                    samples: SampleSet, combined: List[SkewScalar],
                     operation: str) -> None:
-    attained = _attainment(base, factors)
-    hits = 0
-    for x, y in _rotations(samples.values, 2):
-        hits += attained(v[x] + v[y] if operation == "+" else v[x] * v[y])
+    hits = sum(map(_attainment(base, factors), combined))
     count = len(samples.values)
     name = ("closure of sums under the map" if operation == "+"
             else "closure of products under the map")

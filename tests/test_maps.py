@@ -6,6 +6,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,13 @@ from skewplane.maps import (
     zero_point,
 )
 from skewplane.ratios import cross_ratio
-from skewplane.scalars import PrimeField, QuaternionField, Rational, RationalQuaternion
+from skewplane.scalars import (
+    PrimeField,
+    QuaternionField,
+    Rational,
+    RationalField,
+    RationalQuaternion,
+)
 
 #: The closure note as the benchmark and the CLI session checks parse it.
 CLOSURE_NOTE = re.compile(r"attained (\d+), no preimage (\d+), undecided (\d+)")
@@ -268,26 +275,33 @@ class TestOpCounts:
                          RationalQuaternion(Fraction(1, 2), 0, -1, 1),
                          RationalQuaternion(-1, 2, 0, 0)))
 
-    # Both runners: the X-free constants (A: 2 sub, 1 inverse, 1 mul;
+    # Every runner: the X-free constants (A: 2 sub, 1 inverse, 1 mul;
     # B: 3 sub, 1 inverse, 2 mul; C: 3 sub, 1 inverse, 1 mul; D: 3 sub,
     # 1 inverse, 2 mul) and three sampled values (A: 2 sub, 1 inverse,
-    # 2 mul each; B, C, D: 1 sub, 1 inverse, 2 mul, 1 add each).
-    # Distributive: both laws, 3 rotations of 3 mul and 2 add each.
-    # Group: the unit point by evaluate (4 sub, 2 inverse, 3 mul);
-    # associativity 12 mul, unit neutrality 6; the swapped base's
-    # constants (A and B cost as their own, C as D's and D as C's) and
-    # three inverse values like the values; the inverse law 6 mul;
-    # 3 closure products; the attainment test: for A g g and three psi
-    # (2 mul, 2 add, 1 sub each), for B, C and D none (omega is given).
+    # 2 mul each; B, C: 1 sub, 1 inverse, 2 mul, 1 add each; D, whose
+    # P = 1 is no product: 1 sub, 1 inverse, 1 mul, 1 add each).  Each
+    # sum s_i = x_i + x_i+1 and product p_i = x_i x_i+1 is computed once.
+    # Addition: the zero point by evaluate (4 sub, 2 inverse, 3 mul); the
+    # sums 3 add; associativity 6 add, commutativity 3, zero neutrality 3;
+    # the closure record on the sums, through the attainment test: for A
+    # g g and three psi (2 mul, 2 add, 1 sub each), for B, C, D none
+    # (omega is given).
+    # Distributive: the sums 3 add, the products x_i x_i+1 and x_i x_i+2
+    # 6 mul; both laws, 3 mul and 3 add each.
+    # Group: the unit point by evaluate (4 sub, 2 inverse, 3 mul); the
+    # products 3 mul; associativity 6 mul, unit neutrality 6; the swapped
+    # base's constants (A and B cost as their own, C as D's and D as C's)
+    # and three inverse values like the values; the inverse law 6 mul;
+    # the closure record on the products, through the attainment test.
     @pytest.mark.parametrize("family, distributive, group", [
-        (Family.A, {"__sub__": 8, "inverse": 4, "__mul__": 25, "__add__": 12},
-         {"__sub__": 23, "inverse": 10, "__mul__": 51, "__add__": 6}),
-        (Family.B, {"__sub__": 6, "inverse": 4, "__mul__": 26, "__add__": 15},
-         {"__sub__": 16, "inverse": 10, "__mul__": 46, "__add__": 6}),
-        (Family.C, {"__sub__": 6, "inverse": 4, "__mul__": 25, "__add__": 15},
-         {"__sub__": 16, "inverse": 10, "__mul__": 45, "__add__": 6}),
-        (Family.D, {"__sub__": 6, "inverse": 4, "__mul__": 26, "__add__": 15},
-         {"__sub__": 16, "inverse": 10, "__mul__": 45, "__add__": 6}),
+        (Family.A, {"__sub__": 8, "inverse": 4, "__mul__": 19, "__add__": 9},
+         {"__sub__": 23, "inverse": 10, "__mul__": 45, "__add__": 6}),
+        (Family.B, {"__sub__": 6, "inverse": 4, "__mul__": 20, "__add__": 12},
+         {"__sub__": 16, "inverse": 10, "__mul__": 40, "__add__": 6}),
+        (Family.C, {"__sub__": 6, "inverse": 4, "__mul__": 19, "__add__": 12},
+         {"__sub__": 16, "inverse": 10, "__mul__": 36, "__add__": 6}),
+        (Family.D, {"__sub__": 6, "inverse": 4, "__mul__": 17, "__add__": 12},
+         {"__sub__": 16, "inverse": 10, "__mul__": 36, "__add__": 6}),
     ])
     def test_each_value_pays_for_the_free_point_only(self, monkeypatch, family,
                                                      distributive, group):
@@ -298,6 +312,18 @@ class TestOpCounts:
         counts.clear()
         assert verify_multiplicative_group(base, self.SAMPLES).passed
         assert dict(counts) == group
+
+    @pytest.mark.parametrize("family, addition", [
+        (Family.A, {"__sub__": 15, "inverse": 6, "__mul__": 17, "__add__": 21}),
+        (Family.B, {"__sub__": 10, "inverse": 6, "__mul__": 11, "__add__": 18}),
+        (Family.C, {"__sub__": 10, "inverse": 6, "__mul__": 10, "__add__": 18}),
+        (Family.D, {"__sub__": 10, "inverse": 6, "__mul__": 8, "__add__": 18}),
+    ])
+    def test_addition_structure_shares_its_sums(self, monkeypatch, family, addition):
+        base = CrossRatioBase(family, self.POINTS)
+        counts = count_quaternion_ops(monkeypatch)
+        assert verify_addition_structure(base, self.SAMPLES).passed
+        assert dict(counts) == addition
 
 
 class TestSampling:
@@ -606,3 +632,105 @@ class TestClosureRecord:
         left = evaluate(base, q.from_int(2) + q.j())
         for verifier in (verify_addition_structure, verify_multiplicative_group):
             assert self.pair_reaching(base, left, target, verifier) == (2, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# report bytes on edge sample sets and under a faulty scalar operation,
+# compared with tests/data/verify_edge_golden.txt
+
+VERIFY_EDGE_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_edge_golden.txt"
+EDGE_BACKENDS = {"rational": (RationalField, (3, 1, 5)),
+                 "gfp7": (lambda: PrimeField(7), (1, 3, 6)),
+                 "quaternion": (QuaternionField, None)}
+
+
+def edge_base(backend, family):
+    make_field, ints = EDGE_BACKENDS[backend]
+    field = make_field()
+    points = ((field.i(), field.j(), field.k()) if ints is None
+              else tuple(field.from_int(n) for n in ints))
+    return field, CrossRatioBase(family, points)
+
+
+def verifier_lines(base, plain, invertible):
+    return [line for report in (verify_addition_structure(base, plain),
+                                verify_multiplicative_group(base, invertible),
+                                verify_distributive(base, plain))
+            for line in report.lines()]
+
+
+def small_sample_lines(backend, family, n):
+    """Every verifier's report on n = 0, 1 or 2 sampled arguments, where a
+    cyclic shift of the sample order wraps onto itself."""
+    field, base = edge_base(backend, family)
+    return verifier_lines(base, sample_arguments(field, base, n, seed=3),
+                          sample_arguments(field, base, n, seed=3, exclude_zero_point=True))
+
+
+def poisoned_lines(monkeypatch, backend, family, operation):
+    """Every verifier's report on 8 arguments while the scalar ``operation``
+    is off by one for one ordered operand pair: the map values at the
+    first adjacent pair of sampled arguments, from the fourth on, whose
+    values avoid 0 and 1."""
+    field, base = edge_base(backend, family)
+    samples = sample_arguments(field, base, 8, seed=3, exclude_zero_point=True)
+    values = [evaluate(base, x) for x in samples.values]
+    pair = next((a, b) for a, b in zip(values[3:], values[4:])
+                if not ({a, b} & {field.zero(), field.one()}))
+    kind, one = type(base.points[0]), field.one()
+    original, add = getattr(kind, operation), kind.__add__
+
+    def faulty(self, other):
+        result = original(self, other)
+        return add(result, one) if (self, other) == pair else result
+
+    monkeypatch.setattr(kind, operation, faulty)
+    return verifier_lines(base, samples, samples)
+
+
+def misevaluated_lines(monkeypatch, family):
+    """Every verifier's report on every GF(7) argument while ``evaluate`` is
+    off by one at the zero and unit points: a sampled zero or unit point
+    reads its value by ``evaluate`` too."""
+    field, base = edge_base("gfp7", family)
+    original = maps_module.evaluate
+
+    def faulty(base_arg, x):
+        value = original(base_arg, x)
+        return value + field.one() if x in (zero_point(base), unit_point(base)) else value
+
+    monkeypatch.setattr(maps_module, "evaluate", faulty)
+    return verifier_lines(base, exhaustive_arguments(field, base),
+                          exhaustive_arguments(field, base, exclude_zero_point=True))
+
+
+def edge_golden():
+    blocks = VERIFY_EDGE_GOLDEN.read_text(encoding="utf-8").split("\n\n")
+    return {block.split("\n")[0]: block.strip("\n").split("\n")[1:] for block in blocks}
+
+
+class TestEdgeReports:
+    """Report bytes where an index-based sample table can go wrong: sample
+    sets of 0, 1 and 2 values, sampled zero and unit points, and one
+    scalar operation giving a wrong result for one operand pair (each
+    identity's samples= count and first counterexample)."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("backend", list(EDGE_BACKENDS))
+    def test_small_sample_sets(self, backend, family, n):
+        lines = small_sample_lines(backend, family, n)
+        assert lines == edge_golden()[f"# small {backend} {family.value} n={n}"]
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_sampled_neutral_points_read_evaluate(self, monkeypatch, family):
+        lines = misevaluated_lines(monkeypatch, family)
+        assert lines == edge_golden()[f"# misevaluated gfp7 {family.value}"]
+
+    @pytest.mark.parametrize("operation", ["__add__", "__mul__"])
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("backend", ["rational", "gfp7"])
+    def test_one_faulty_operand_pair(self, monkeypatch, backend, family, operation):
+        lines = poisoned_lines(monkeypatch, backend, family, operation)
+        assert any("FAIL" in line for line in lines)
+        assert lines == edge_golden()[f"# poisoned {backend} {family.value} {operation}"]
