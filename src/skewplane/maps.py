@@ -13,23 +13,23 @@ neutrals (a product vanishes only when a factor does: a skew field has
 no zero divisors).  Two of the cross-ratio's four differences never
 contain X, so each map combines X-free constants of its base
 (``_factors``) with one inverted difference X - S.  Family A is
-(X-S)^-1 g (X-Z0); families B, C and D take the normal form
-omega + P (X-S)^-1 Q:
+(X-S)^-1 g (X-Z0); family C takes the normal form omega + P (X-S)^-1 Q:
 
     family  base       S  Z0  U  constants
     A       (B, C, D)  D  C   B  g = (B-D)(B-C)^-1
-    B       (A, C, D)  C  D   A  omega = a c, P = a (C-D), Q = c,
-                                 where a = (A-D)^-1 and c = A-C
     C       (A, B, D)  B  A   D  omega = (A-D)^-1 (B-D), P = omega, Q = B-A
-    D       (A, B, C)  A  B   C  omega = (B-C)^-1 (A-C), P = 1 (not
-                                 multiplied), Q = (A-B) omega
 
-(B from (X-D)(X-C)^-1 = 1 + (C-D)(X-C)^-1, C from (B-X)^-1 (A-X) =
-1 + (X-B)^-1 (B-A), D from (A-X)^-1 (B-X) = 1 + (X-A)^-1 (A-B).)  The
-verify_* runners and ``preimage`` compute the constants once per call
-and keep nothing after it; a value then costs 1 subtraction, 1 inverse,
-2 products (A, B, C; D: 1) and 1 sum (A: 2 subtractions and no sum)
-instead of the cross-ratio's 4 subtractions, 2 inverses and 3 products.
+and B = 1 - C, D = C^-1 on the same points.  (C from (B-X)^-1 (A-X) =
+1 + (X-B)^-1 (B-A).  Swapping slots 1 and 2, or 2 and 3, of the
+cross-ratio turns lambda into 1 - lambda, or lambda^-1, exactly, also
+over a skew field: E. Artin, Geometric Algebra, 1957, ch. II.)  So B is
+the normal form (1-omega, omega, -Q) on C's S, with C's zero and unit
+points exchanged, and D is C inverted (below): omega^-1 - (X-A)^-1 Q
+omega^-1, its P = 1 not multiplied.  The verify_* runners and
+``preimage`` compute the constants once per call and keep nothing after
+it; a value then costs 1 subtraction, 1 inverse, 2 products (A, B, C;
+D: 1) and 1 sum (A: 2 subtractions and no sum) instead of the
+cross-ratio's 4 subtractions, 2 inverses and 3 products.
 
 Each family's image is known exactly.  P and Q are nonzero, and
 (X-S)^-1 takes every nonzero value as X runs over the line but S, so
@@ -43,9 +43,12 @@ real g or a commutative field.
 
 The inverse map, the cross-ratio with the contents of the two final
 slots swapped, is the map of the swapped base: A and B on (p0, p2, p1),
-C and D exchanged on the same points.  The swapped product telescopes
-against the original on both sides, so the inverse law holds
-two-sidedly.
+C and D exchanged on the same points.  ``_inverted`` gives its
+constants from the base's own, with S and Z0 exchanged.  For A that is
+g^-1, the swapped base's g = (p0-p1)(p0-p2)^-1.  For the normal form
+it is omega^-1 - omega^-1 P (X-Z0)^-1 Q omega^-1, where omega^-1 P = 1
+for P = omega: the map vanishes at Z0, so Z0 - S = -Q omega^-1 P, and
+the product with the map telescopes to 1 on both sides.
 
 The verify_* runners re-check all of this pointwise on explicit sample
 sets and return structured reports (one line per identity) so the CLI
@@ -57,13 +60,8 @@ sums s_i = x_i + y_i, the products p_i = x_i y_i and, for distributivity
 only, q_i = x_i z_i.  Every identity computes both sides from them:
 s_i + z_i = x_i + s_i+1, s_i = y_i + x_i, p_i z_i = x_i p_i+1,
 x_i s_i+1 = p_i + q_i and s_i z_i = q_i + p_i+1.  The inverse law checks
-the swapped base's map, from its own constants, against the x_i.  A call
-on 3 samples costs (subtractions, inverses, products, sums; tests pin it):
-
-    runner        A             B            C            D
-    addition      15/6/17/21    10/6/11/18   10/6/10/18   10/6/8/18
-    distributive  8/4/19/9      6/4/20/12    6/4/19/12    6/4/17/12
-    group         23/10/45/6    16/10/40/6   16/10/36/6   16/10/36/6
+the inverse map, from the inverted constants, against the x_i.  The
+README gives each runner's scalar-op counts, as the tests pin them.
 
 Verification never asserts set closure; each report records,
 informationally, how many of the s_i (or p_i) the map attains again, by
@@ -175,17 +173,8 @@ def inverse_value(base: CrossRatioBase, x: SkewScalar) -> SkewScalar:
     both sides.
     """
     _check_argument(base, x, invertible=True)
-    return cross_ratio(*_swapped(base).slots(x))
-
-
-def _swapped(base: CrossRatioBase) -> CrossRatioBase:
-    """The base whose map is the base's cross-ratio with the final two
-    slots swapped: A and B on (p0, p2, p1), C and D exchanged."""
-    p0, p1, p2 = base.points
-    if base.family is Family.A or base.family is Family.B:
-        return CrossRatioBase(base.family, (p0, p2, p1))
-    return CrossRatioBase(Family.D if base.family is Family.C else Family.C,
-                          base.points)
+    a, b, c, d = base.slots(x)
+    return cross_ratio(a, b, d, c)
 
 
 # ---------------------------------------------------------------------------
@@ -194,28 +183,38 @@ def _swapped(base: CrossRatioBase) -> CrossRatioBase:
 
 def _factors(base: CrossRatioBase) -> Tuple[SkewScalar, ...]:
     """The X-free constants of the base's map: (g,) or (omega, P, Q), with
-    P = None for family D's P = 1."""
+    P = None for P = 1.  B and D take C's on the same points."""
     p0, p1, p2 = base.points
     if base.family is Family.A:
         return ((p0 - p2) * (p0 - p1).inverse(),)
+    omega, q = (p0 - p2).inverse() * (p1 - p2), p1 - p0
     if base.family is Family.B:
-        a, c = (p0 - p2).inverse(), p0 - p1
-        return (a * c, a * (p1 - p2), c)
-    if base.family is Family.C:
-        omega = (p0 - p2).inverse() * (p1 - p2)
-        return (omega, omega, p1 - p0)
-    omega = (p1 - p2).inverse() * (p0 - p2)
-    return (omega, None, (p0 - p1) * omega)  # P = 1: no product
+        return (1 - omega, omega, -q)
+    return (omega, omega, q) if base.family is Family.C else _inverted((omega, omega, q))
 
 
-def _map_function(base: CrossRatioBase, factors, checked: Optional[CrossRatioBase] = None,
-                  invertible: bool = False) -> Callable[[SkewScalar], SkewScalar]:
-    """X -> evaluate(base, X), from the base's factors, on the arguments
-    ``_check_argument`` admits for ``checked`` (default: the base)."""
-    checked = base if checked is None else checked
-    s = singular_point(base)
+def _inverted(factors) -> Tuple[SkewScalar, ...]:
+    """The constants of the pointwise inverse map, whose singular and zero
+    points are the map's zero and singular points: g^-1, or
+    omega^-1 - omega^-1 P (X-Z0)^-1 Q omega^-1, where omega^-1 P is 1
+    (None) when P is omega itself, as in family C."""
+    if len(factors) == 1:
+        return (factors[0].inverse(),)
+    omega, p, q = factors
+    w = omega.inverse()
+    return (w, None if p is omega else w if p is None else w * p, -(q * w))
+
+
+def _map_function(base: CrossRatioBase, factors,
+                  inverse: bool = False) -> Callable[[SkewScalar], SkewScalar]:
+    """X -> evaluate(base, X) from the base's factors or, with ``inverse``,
+    X -> inverse_value(base, X) from the inverted factors, on the arguments
+    ``_check_argument`` admits."""
+    s, z = singular_point(base), zero_point(base)
+    if inverse:
+        factors, s, z = _inverted(factors), z, s
     if base.family is Family.A:
-        (g,), z = factors, zero_point(base)
+        g, = factors
         value = lambda x: (x - s).inverse() * g * (x - z)
     else:
         omega, p, q = factors
@@ -223,16 +222,9 @@ def _map_function(base: CrossRatioBase, factors, checked: Optional[CrossRatioBas
                  else lambda x: omega + p * (x - s).inverse() * q)
 
     def at(x: SkewScalar) -> SkewScalar:
-        _check_argument(checked, x, invertible)
+        _check_argument(base, x, inverse)
         return value(x)
     return at
-
-
-def _inverse_function(base: CrossRatioBase) -> Callable[[SkewScalar], SkewScalar]:
-    """X -> inverse_value(base, X): the map of the swapped base, from its
-    own factors, on the arguments of the base."""
-    swapped = _swapped(base)
-    return _map_function(swapped, _factors(swapped), base, invertible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +422,7 @@ def verify_multiplicative_group(base: CrossRatioBase,
            lambda i: unit_ok and x[i] * u == x[i] and u * x[i] == x[i],
            f", unit point={unit_arg}")
 
-    inverse_of = _inverse_function(base)
+    inverse_of = _map_function(base, factors, inverse=True)
 
     def inverse_law(i):
         inverse = inverse_of(samples.values[i])

@@ -9,6 +9,9 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
+
+from conftest import quaternions, rationals
 
 import skewplane.maps as maps_module
 from skewplane.errors import (
@@ -206,12 +209,12 @@ class TestInverseValue:
 
 def assert_routes_agree(base, arguments):
     """The verifiers' map, from the base's X-free factors, and inverse map,
-    from the swapped base's, equal evaluate and inverse_value at every
+    from the same factors inverted, equal evaluate and inverse_value at every
     admissible argument, and refuse the same arguments; returns how many
     values were compared."""
     factors = maps_module._factors(base)
     value = maps_module._map_function(base, factors)
-    inverse = maps_module._inverse_function(base)
+    inverse = maps_module._map_function(base, factors, inverse=True)
     singular, zero = singular_point(base), zero_point(base)
     compared = 0
     for x in arguments:
@@ -252,6 +255,106 @@ class TestFactoredMaps:
                 for base in bases)
             assert compared >= 30 * 20 * 2
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_group_call_builds_no_base(self, monkeypatch, family):
+        # the inverse map comes from the base's own constants: no swapped
+        # base is built and validated per call
+        field = QuaternionField()
+        base = CrossRatioBase(family, (field.i(), field.j(), field.k()))
+        samples = sample_arguments(field, base, 3, seed=3, exclude_zero_point=True)
+        built = []
+        original = CrossRatioBase.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(CrossRatioBase, "__init__", counted)
+        assert verify_multiplicative_group(base, samples).passed
+        assert built == []
+
+
+#: lambda = cr(a, b; c, d) -> the cross-ratio of the points in the keyed
+#: slot order; these six keep slot 0 in place, and their values are
+#: functions of lambda alone, so the order of the factors does not matter.
+ANHARMONIC = {
+    (0, 1, 2, 3): lambda lam, one: lam,
+    (0, 1, 3, 2): lambda lam, one: lam.inverse(),
+    (0, 2, 1, 3): lambda lam, one: one - lam,
+    (0, 2, 3, 1): lambda lam, one: (one - lam).inverse(),
+    (0, 3, 1, 2): lambda lam, one: (lam - one) * lam.inverse(),
+    (0, 3, 2, 1): lambda lam, one: lam * (lam - one).inverse(),
+}
+#: The double transpositions: commutatively they leave the cross-ratio fixed.
+KLEIN = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+
+
+def distinct_quadruples(elements):
+    return st.lists(elements, min_size=4, max_size=4, unique=True).map(tuple)
+
+
+GF11 = PrimeField(11)
+QUADRUPLES = st.one_of(distinct_quadruples(rationals()),
+                       distinct_quadruples(st.integers(0, 10).map(GF11.from_int)),
+                       distinct_quadruples(quaternions()))
+#: i, j and k after a fourth quaternion point.
+IJK_QUADRUPLE = (RationalQuaternion(2, 1, 0, -1), RationalQuaternion(0, 1),
+                 RationalQuaternion(0, 0, 1), RationalQuaternion(0, 0, 0, 1))
+
+
+def are_conjugate(a, b):
+    """a and b are conjugate: equal real part and norm over the
+    quaternions, equal on a commutative backend."""
+    if isinstance(a, RationalQuaternion):
+        return a.w == b.w and a.norm() == b.norm()
+    return a == b
+
+
+class TestAnharmonicGroup:
+    """The 24 slot orders of four distinct points give six cross-ratio
+    values: exactly where slot 0 stays in place, up to conjugacy otherwise
+    (exactly on a commutative backend)."""
+
+    @given(QUADRUPLES)
+    @example(IJK_QUADRUPLE)
+    def test_slot_permutations(self, points):
+        one = points[0]._from_int(1)
+        lam = cross_ratio(*points)
+        commutative = not isinstance(lam, RationalQuaternion)
+        for fixed, value in ANHARMONIC.items():
+            expected = value(lam, one)
+            for klein in KLEIN:
+                order = tuple(fixed[j] for j in klein)
+                got = cross_ratio(*(points[i] for i in order))
+                if order[0] == 0 or commutative:
+                    assert got == expected, order
+                else:
+                    assert are_conjugate(got, expected), order
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_families_b_and_d_are_one_minus_c_and_its_inverse(self, p):
+        field = PrimeField(p)
+        one = field.one()
+        nonzero = [x for x in field.elements() if not x.is_zero()]
+        compared = 0
+        for points in permutations(nonzero, 3):
+            a, b, c, d = (CrossRatioBase(family, points) for family in Family)
+            p0, p1, p2 = points
+            g, = maps_module._factors(a)
+            assert maps_module._factors(CrossRatioBase(Family.A, (p0, p2, p1))) == (g.inverse(),)
+            assert omitted_value(b) == one - omitted_value(c)
+            assert omitted_value(d) == omitted_value(c).inverse()
+            for x in field.elements():
+                if x == singular_point(c):
+                    continue
+                assert evaluate(b, x) == one - evaluate(c, x)
+                compared += 1
+                if x != zero_point(c):
+                    assert evaluate(d, x) == evaluate(c, x).inverse()
+                    compared += 1
+        # per base: p - 1 arguments of B and C, p - 2 of D
+        assert compared == (p - 1) * (p - 2) * (p - 3) * (2 * p - 3)
+
 
 def count_quaternion_ops(monkeypatch):
     """Count the RationalQuaternion operator calls, as count_rational_ops
@@ -275,12 +378,14 @@ class TestOpCounts:
                          RationalQuaternion(Fraction(1, 2), 0, -1, 1),
                          RationalQuaternion(-1, 2, 0, 0)))
 
-    # Every runner: the X-free constants (A: 2 sub, 1 inverse, 1 mul;
-    # B: 3 sub, 1 inverse, 2 mul; C: 3 sub, 1 inverse, 1 mul; D: 3 sub,
-    # 1 inverse, 2 mul) and three sampled values (A: 2 sub, 1 inverse,
-    # 2 mul each; B, C: 1 sub, 1 inverse, 2 mul, 1 add each; D, whose
-    # P = 1 is no product: 1 sub, 1 inverse, 1 mul, 1 add each).  Each
-    # sum s_i = x_i + x_i+1 and product p_i = x_i x_i+1 is computed once.
+    # Every runner: the X-free constants (A: 2 sub, 1 inverse, 1 mul for
+    # g; C: 3 sub, 1 inverse, 1 mul for omega and Q; B: C's and 1 add for
+    # 1 - omega, which is (-omega) + 1, its -Q being a negation; D: C's
+    # and their inversion, 1 inverse and 1 mul for -Q omega^-1, its P = 1
+    # being no product) and three sampled values (A: 2 sub, 1 inverse,
+    # 2 mul each; B, C: 1 sub, 1 inverse, 2 mul, 1 add each; D: 1 sub,
+    # 1 inverse, 1 mul, 1 add each).  Each sum s_i = x_i + x_i+1 and
+    # product p_i = x_i x_i+1 is computed once.
     # Addition: the zero point by evaluate (4 sub, 2 inverse, 3 mul); the
     # sums 3 add; associativity 6 add, commutativity 3, zero neutrality 3;
     # the closure record on the sums, through the attainment test: for A
@@ -289,19 +394,22 @@ class TestOpCounts:
     # Distributive: the sums 3 add, the products x_i x_i+1 and x_i x_i+2
     # 6 mul; both laws, 3 mul and 3 add each.
     # Group: the unit point by evaluate (4 sub, 2 inverse, 3 mul); the
-    # products 3 mul; associativity 6 mul, unit neutrality 6; the swapped
-    # base's constants (A and B cost as their own, C as D's and D as C's)
-    # and three inverse values like the values; the inverse law 6 mul;
-    # the closure record on the products, through the attainment test.
+    # products 3 mul; associativity 6 mul, unit neutrality 6; the inverse
+    # map's constants, inverted from the base's own (A: 1 inverse for
+    # g^-1; B: 1 inverse, 2 mul for omega^-1 P and Q omega^-1; C: 1 inverse,
+    # 1 mul, its P = omega giving P' = 1; D: 1 inverse, 1 mul, its P = 1
+    # giving P' = omega^-1) and three inverse values like the values (C's
+    # like D's); the inverse law 6 mul; the closure record on the
+    # products, through the attainment test.
     @pytest.mark.parametrize("family, distributive, group", [
         (Family.A, {"__sub__": 8, "inverse": 4, "__mul__": 19, "__add__": 9},
-         {"__sub__": 23, "inverse": 10, "__mul__": 45, "__add__": 6}),
-        (Family.B, {"__sub__": 6, "inverse": 4, "__mul__": 20, "__add__": 12},
-         {"__sub__": 16, "inverse": 10, "__mul__": 40, "__add__": 6}),
+         {"__sub__": 21, "inverse": 10, "__mul__": 44, "__add__": 6}),
+        (Family.B, {"__sub__": 6, "inverse": 4, "__mul__": 19, "__add__": 13},
+         {"__sub__": 13, "inverse": 10, "__mul__": 39, "__add__": 7}),
         (Family.C, {"__sub__": 6, "inverse": 4, "__mul__": 19, "__add__": 12},
-         {"__sub__": 16, "inverse": 10, "__mul__": 36, "__add__": 6}),
-        (Family.D, {"__sub__": 6, "inverse": 4, "__mul__": 17, "__add__": 12},
-         {"__sub__": 16, "inverse": 10, "__mul__": 36, "__add__": 6}),
+         {"__sub__": 13, "inverse": 10, "__mul__": 35, "__add__": 6}),
+        (Family.D, {"__sub__": 6, "inverse": 5, "__mul__": 17, "__add__": 12},
+         {"__sub__": 13, "inverse": 11, "__mul__": 36, "__add__": 6}),
     ])
     def test_each_value_pays_for_the_free_point_only(self, monkeypatch, family,
                                                      distributive, group):
@@ -315,9 +423,9 @@ class TestOpCounts:
 
     @pytest.mark.parametrize("family, addition", [
         (Family.A, {"__sub__": 15, "inverse": 6, "__mul__": 17, "__add__": 21}),
-        (Family.B, {"__sub__": 10, "inverse": 6, "__mul__": 11, "__add__": 18}),
+        (Family.B, {"__sub__": 10, "inverse": 6, "__mul__": 10, "__add__": 19}),
         (Family.C, {"__sub__": 10, "inverse": 6, "__mul__": 10, "__add__": 18}),
-        (Family.D, {"__sub__": 10, "inverse": 6, "__mul__": 8, "__add__": 18}),
+        (Family.D, {"__sub__": 10, "inverse": 7, "__mul__": 8, "__add__": 18}),
     ])
     def test_addition_structure_shares_its_sums(self, monkeypatch, family, addition):
         base = CrossRatioBase(family, self.POINTS)
