@@ -44,7 +44,8 @@ real g or a commutative field.
 The inverse map, the cross-ratio with the contents of the two final
 slots swapped, is the map of the swapped base: A and B on (p0, p2, p1),
 C and D exchanged on the same points.  ``_inverted`` gives its
-constants from the base's own, with S and Z0 exchanged.  For A that is
+constants from the base's own, with S and Z0 exchanged; D's inverse map
+is C's, whose constants D's were inverted from.  For A that is
 g^-1, the swapped base's g = (p0-p1)(p0-p2)^-1.  For the normal form
 it is omega^-1 - omega^-1 P (X-Z0)^-1 Q omega^-1, where omega^-1 P = 1
 for P = omega: the map vanishes at Z0, so Z0 - S = -Q omega^-1 P, and
@@ -181,16 +182,21 @@ def inverse_value(base: CrossRatioBase, x: SkewScalar) -> SkewScalar:
 # the maps on their X-free constants (table in the module docstring)
 
 
-def _factors(base: CrossRatioBase) -> Tuple[SkewScalar, ...]:
+def _factors(base: CrossRatioBase, inverse: bool = False):
     """The X-free constants of the base's map: (g,) or (omega, P, Q), with
-    P = None for P = 1.  B and D take C's on the same points."""
+    P = None for P = 1.  B and D take C's on the same points.  With
+    ``inverse``, the pair of these and the inverse map's constants, which
+    for D are C's own, not D's inverted back."""
     p0, p1, p2 = base.points
     if base.family is Family.A:
-        return ((p0 - p2) * (p0 - p1).inverse(),)
-    omega, q = (p0 - p2).inverse() * (p1 - p2), p1 - p0
-    if base.family is Family.B:
-        return (1 - omega, omega, -q)
-    return (omega, omega, q) if base.family is Family.C else _inverted((omega, omega, q))
+        factors = ((p0 - p2) * (p0 - p1).inverse(),)
+    else:
+        omega, q = (p0 - p2).inverse() * (p1 - p2), p1 - p0
+        c = (omega, omega, q)
+        if base.family is Family.D:
+            return (_inverted(c), c) if inverse else _inverted(c)
+        factors = (1 - omega, omega, -q) if base.family is Family.B else c
+    return (factors, _inverted(factors)) if inverse else factors
 
 
 def _inverted(factors) -> Tuple[SkewScalar, ...]:
@@ -208,11 +214,11 @@ def _inverted(factors) -> Tuple[SkewScalar, ...]:
 def _map_function(base: CrossRatioBase, factors,
                   inverse: bool = False) -> Callable[[SkewScalar], SkewScalar]:
     """X -> evaluate(base, X) from the base's factors or, with ``inverse``,
-    X -> inverse_value(base, X) from the inverted factors, on the arguments
-    ``_check_argument`` admits."""
+    X -> inverse_value(base, X) from the inverse map's factors, on the
+    arguments ``_check_argument`` admits."""
     s, z = singular_point(base), zero_point(base)
     if inverse:
-        factors, s, z = _inverted(factors), z, s
+        s, z = z, s
     if base.family is Family.A:
         g, = factors
         value = lambda x: (x - s).inverse() * g * (x - z)
@@ -408,7 +414,7 @@ def verify_multiplicative_group(base: CrossRatioBase,
     """
     one = base.points[0]._from_int(1)
     unit_arg = unit_point(base)
-    factors = _factors(base)
+    factors, inverse_factors = _factors(base, inverse=True)
     x, u = _map_row(base, factors, samples, unit_arg)
     z = _shifted(x, 2)
     p = [a * b for a, b in zip(x, _shifted(x, 1))]
@@ -422,7 +428,7 @@ def verify_multiplicative_group(base: CrossRatioBase,
            lambda i: unit_ok and x[i] * u == x[i] and u * x[i] == x[i],
            f", unit point={unit_arg}")
 
-    inverse_of = _map_function(base, factors, inverse=True)
+    inverse_of = _map_function(base, inverse_factors, inverse=True)
 
     def inverse_law(i):
         inverse = inverse_of(samples.values[i])

@@ -17,6 +17,14 @@ of PlaneLine values coincides with geometric equality of the lines.
 Intersections are closed forms on those canonical lines (see
 ``intersect``); each intersection point is re-checked against both lines
 before it is returned.
+
+Only the public constructors, ``PlanePoint(x, y)`` and
+``PlaneLine(base, direction)``, validate their arguments.  The primitives
+build each point and line in one step from their own arithmetic, which
+already raises BackendMismatchError on mixed backends: ``_point`` writes
+a point's slots, and ``PlaneLine._canonical`` a line's, past the
+constructors' checks.  ``parallel_through`` keeps its backend check, since
+a vertical line needs no arithmetic there.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ from typing import Tuple
 
 from .errors import CoincidentPointsError, IdenticalLinesError, ParallelLinesError
 from .scalars import Immutable, Record, SkewScalar, ensure_same_backend
+
+_new = object.__new__
 
 Direction = Tuple[SkewScalar, SkewScalar]
 
@@ -43,7 +53,7 @@ class PlanePoint(Immutable, Record):
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.x, self.y) == (other.x, other.y)
+        return self.x == other.x and self.y == other.y
 
     def __hash__(self):
         return hash((self.x, self.y))
@@ -53,10 +63,22 @@ class PlanePoint(Immutable, Record):
         return (other.x - self.x, other.y - self.y)
 
     def translate(self, direction: Direction) -> "PlanePoint":
-        return PlanePoint(self.x + direction[0], self.y + direction[1])
+        return _point(self.x + direction[0], self.y + direction[1])
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y})"
+
+
+_set_x = PlanePoint.x.__set__
+_set_y = PlanePoint.y.__set__
+
+
+def _point(x: SkewScalar, y: SkewScalar) -> PlanePoint:
+    """The point (x, y) of two same-backend scalars, without the check."""
+    point = _new(PlanePoint)
+    _set_x(point, x)
+    _set_y(point, y)
+    return point
 
 
 def scale_direction(t: SkewScalar, direction: Direction) -> Direction:
@@ -78,13 +100,18 @@ class PlaneLine(Immutable):
     def __init__(self, base: PlanePoint, direction: Direction):
         dx, dy = direction
         ensure_same_backend(base.x, base.y, dx, dy)
-        if not dx.is_zero():
-            m = dx.inverse() * dy
-            self._set(PlanePoint(dx._from_int(0), base.y - base.x * m), (dx._from_int(1), m))
-        elif dy.is_zero():
+        if dx.is_zero() and dy.is_zero():
             raise ValueError("line direction must be nonzero")
-        else:
-            self._set(PlanePoint(base.x, dx), (dx, dy._from_int(1)))
+        self._canonical(base.x, base.y, dx, dy)
+
+    def _canonical(self, x: SkewScalar, y: SkewScalar,
+                   dx: SkewScalar, dy: SkewScalar) -> "PlaneLine":
+        """Write the canonical form of the line through (x, y) with the
+        nonzero direction (dx, dy), all four from one backend."""
+        if dx.is_zero():
+            return self._set(_point(x, dx), (dx, dy._from_int(1)))
+        m = dx.inverse() * dy
+        return self._set(_point(dx._from_int(0), y - x * m), (dx._from_int(1), m))
 
     def _set(self, anchor: PlanePoint, direction: Direction) -> "PlaneLine":
         """Write the slots; anchor and direction are already canonical."""
@@ -109,9 +136,10 @@ class PlaneLine(Immutable):
 
 def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
     """The unique line containing the two distinct points p and q."""
-    if p == q:
+    dx, dy = q.x - p.x, q.y - p.y
+    if dx.is_zero() and dy.is_zero():
         raise CoincidentPointsError(f"no unique line through coincident point {p}")
-    return PlaneLine(p, p.displacement_to(q))
+    return _new(PlaneLine)._canonical(p.x, p.y, dx, dy)
 
 
 def parallel_through(p: PlanePoint, line: PlaneLine) -> PlaneLine:
@@ -120,7 +148,7 @@ def parallel_through(p: PlanePoint, line: PlaneLine) -> PlaneLine:
     ensure_same_backend(p.x, *line.direction)
     dx, m = line.direction
     x, y = (p.x, line.base.y) if dx.is_zero() else (line.base.x, p.y - p.x * m)
-    return PlaneLine.__new__(PlaneLine)._set(PlanePoint(x, y), line.direction)
+    return _new(PlaneLine)._set(_point(x, y), line.direction)
 
 
 def is_parallel(l1: PlaneLine, l2: PlaneLine) -> bool:
@@ -164,7 +192,7 @@ def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
         x = l2.base.x
     else:
         x = (l2.base.y - b1) * (m1 - l2.direction[1]).inverse()
-    point = PlanePoint(x, b1 + x * m1)
+    point = _point(x, b1 + x * m1)
     if not (on_line(point, l1) and on_line(point, l2)):  # pragma: no cover
         raise AssertionError("intersection point failed containment check")
     return point

@@ -14,7 +14,7 @@ backends share: plain ``int`` operands are accepted everywhere (the
 integers embed canonically in any skew field), and scalars from different
 backends never mix: any cross-backend operation raises
 :class:`BackendMismatchError`.  A backend supplies only its storage, its
-arithmetic, a canonical ``_key`` and, where needed, ``_from_int``.
+arithmetic, a canonical ``_key`` and ``_from_int``.
 
 Scalars share dicts and sets only with scalars.  ``==`` embeds an ``int``,
 but only :class:`Rational` hashes like the embedded ``int``: for GF(p) no
@@ -33,7 +33,8 @@ each result in one step: it computes the canonical form itself, writes
 the slots through their slot descriptors, past both the constructor's
 checks and :class:`Immutable`'s guard, and takes an operand of its own
 class as it is, without the ``_coerce`` call that an ``int`` or an
-alien operand goes through.
+alien operand goes through.  ``_from_int``, the embedding of an int into
+a value's backend, builds without validating too.
 """
 
 from __future__ import annotations
@@ -153,9 +154,10 @@ class SkewScalar(Immutable, ABC):
     """An element of the active skew field.
 
     A backend implements ``+``, ``-``, unary ``-``, ``*``, ``inverse``,
-    ``is_zero`` and ``_key``; this class derives the reflected operators,
-    ``==`` and ``hash`` over ``_key``, an identity ``conjugate``, and
-    ``_coerce``, the one operand rule, which embeds ints by ``_from_int``.
+    ``is_zero``, ``_key`` and ``_from_int``; this class derives the
+    reflected operators, ``==`` and ``hash`` over ``_key``, an identity
+    ``conjugate``, and ``_coerce``, the one operand rule, which embeds ints
+    by ``_from_int``.
     Multiplication is NOT assumed commutative anywhere.
     """
 
@@ -184,9 +186,9 @@ class SkewScalar(Immutable, ABC):
     def _key(self):
         """The canonical form: two values are equal iff their keys are."""
 
+    @abstractmethod
     def _from_int(self, n: int):
-        """``n`` in this backend; override it if ``n`` alone builds no value."""
-        return self.__class__(n)
+        """The int ``n`` (or a bool) embedded in this value's backend."""
 
     def conjugate(self):
         """The standard involution: quaternion conjugation, identity on
@@ -270,6 +272,9 @@ class Rational(SkewScalar):
 
     def _key(self):
         return (self.numerator, self.denominator)
+
+    def _from_int(self, n: int) -> "Rational":
+        return Rational._wrap(int(n), 1)  # canonical as it is
 
     def __add__(self, other):
         if other.__class__ is not Rational:
@@ -365,7 +370,8 @@ class PrimeFieldElement(SkewScalar):
         return (self.residue, self.modulus)
 
     def _from_int(self, n: int) -> "PrimeFieldElement":
-        return PrimeFieldElement(int(n), self.modulus)  # the constructor refuses bool
+        m = self.modulus
+        return PrimeFieldElement._wrap(int(n) % m, m)
 
     def __add__(self, other):
         m = self.modulus
@@ -675,7 +681,7 @@ class RationalField(ScalarField):
         return Rational(n)
 
     def random_element(self, rng) -> Rational:
-        return Rational(rng.randint(-8, 8), rng.randint(1, 6))
+        return Rational._reduce(rng.randint(-8, 8), rng.randint(1, 6))
 
 
 class PrimeField(ScalarField):
@@ -693,7 +699,7 @@ class PrimeField(ScalarField):
         return PrimeFieldElement(n, self.p)
 
     def random_element(self, rng) -> PrimeFieldElement:
-        return PrimeFieldElement(rng.randrange(self.p), self.p)
+        return PrimeFieldElement._wrap(rng.randrange(self.p), self.p)
 
     def elements(self) -> Iterator[PrimeFieldElement]:
         for residue in range(self.p):

@@ -10,7 +10,7 @@ that no arithmetic whose answer is already known comes back.
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import quaternions, rationals
 from skewplane.constructions import LineFrame, geometric_add, geometric_mul
@@ -51,6 +51,11 @@ def line_cases(draw, vertical):
     return base, (dx, dy), other
 
 
+#: A vertical GF(5) case of ``line_cases``, which its derandomized draws miss.
+GF5_VERTICAL = (PlanePoint(PrimeFieldElement(3, 5), PrimeFieldElement(4, 5)),
+                (PrimeFieldElement(0, 5), PrimeFieldElement(2, 5)), None)
+
+
 def assert_same_line(line, anchor, direction):
     assert line.base == anchor and line.direction == direction
     assert hash(line) == hash((anchor, direction))
@@ -72,6 +77,15 @@ class TestCanonicalForm:
         anchor, norm = reference_canonical(base, direction)
         assert anchor.y.is_zero() and norm[0].is_zero() and norm[1] == 1
         assert_same_line(PlaneLine(base, direction), anchor, norm)
+
+    @given(st.booleans().flatmap(lambda vertical: line_cases(vertical)))
+    @example(GF5_VERTICAL)
+    def test_line_through_matches_the_constructor(self, case):
+        base, (dx, dy), _ = case
+        q = PlanePoint(base.x + dx, base.y + dy)
+        expected = PlaneLine(base, base.displacement_to(q))
+        assert expected.direction[0].is_zero() == dx.is_zero()
+        assert_same_line(line_through(base, q), expected.base, expected.direction)
 
     @given(st.booleans().flatmap(lambda vertical: line_cases(vertical)))
     def test_parallel_through_reuses_the_direction(self, case):

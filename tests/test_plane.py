@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from skewplane.errors import (
+    BackendMismatchError,
     CoincidentPointsError,
     IdenticalLinesError,
     ParallelLinesError,
@@ -21,7 +22,7 @@ from skewplane.plane import (
     on_line,
     parallel_through,
 )
-from skewplane.scalars import PrimeField, QuaternionField, Rational
+from skewplane.scalars import PrimeField, QuaternionField, Rational, RationalField
 
 
 def rp(x, y):
@@ -181,6 +182,61 @@ class TestIntersect:
             except (CoincidentPointsError, ParallelLinesError, IdenticalLinesError):
                 continue
             assert on_line(meet, l1) and on_line(meet, l2)
+
+
+#: Pairs of distinct backends, GF(5) and GF(7) counting as two.
+MIXED = [(RationalField(), PrimeField(5)), (PrimeField(5), PrimeField(7)),
+         (QuaternionField(), RationalField()), (PrimeField(7), QuaternionField())]
+
+
+def frame_points(field):
+    """(0, 0), (1, 0), (0, 1) and (2, 3) of one backend."""
+    return [PlanePoint(field.from_int(x), field.from_int(y))
+            for x, y in ((0, 0), (1, 0), (0, 1), (2, 3))]
+
+
+@pytest.mark.parametrize("first, second", MIXED, ids=lambda f: f.name)
+class TestMixedBackends:
+    """Every primitive refuses points and lines of two backends, also where
+    it builds its result without the constructors' check."""
+
+    def test_line_through(self, first, second):
+        p, q = frame_points(first)[0], frame_points(second)[3]
+        with pytest.raises(BackendMismatchError):
+            line_through(p, q)
+        with pytest.raises(BackendMismatchError):
+            line_through(q, p)
+
+    def test_intersect(self, first, second):
+        o, i, j, _ = frame_points(first)
+        o2, _, j2, r2 = frame_points(second)
+        for l2 in (line_through(o2, r2), line_through(o2, j2)):  # slanted, vertical
+            with pytest.raises(BackendMismatchError):
+                intersect(line_through(o, i), l2)
+            with pytest.raises(BackendMismatchError):
+                intersect(l2, line_through(j, i))
+
+    def test_translate(self, first, second):
+        p, q = frame_points(first)[3], frame_points(second)[3]
+        with pytest.raises(BackendMismatchError):
+            p.translate((q.x, q.y))
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_parallel_through(self, first, second, vertical):
+        o, i, j, r = frame_points(first)
+        line = line_through(o, j if vertical else r)
+        assert line.direction[0].is_zero() == vertical
+        with pytest.raises(BackendMismatchError):
+            parallel_through(frame_points(second)[3], line)
+
+    def test_constructors(self, first, second):
+        p, q = frame_points(first)[3], frame_points(second)[3]
+        with pytest.raises(BackendMismatchError):
+            PlaneLine(p, (q.x, q.y))
+        with pytest.raises(BackendMismatchError):
+            PlaneLine(p, (p.x, q.y))
+        with pytest.raises(BackendMismatchError):
+            PlanePoint(p.x, q.y)
 
 
 class TestIncidence:

@@ -286,6 +286,21 @@ class TestScalarProtocol:
         assert three == 3 and str(three) == str(same)
         assert copy.deepcopy(three) == pickle.loads(pickle.dumps(three)) == three
 
+    # the constructor of GF(p) refuses bool, so its public value of True is of int(True)
+    @pytest.mark.parametrize("sample, public", [
+        (Rational(2, 3), Rational),
+        (PrimeFieldElement(2, 5), lambda n: PrimeFieldElement(int(n), 5)),
+        (PrimeFieldElement(2, 2 ** 61 - 1), lambda n: PrimeFieldElement(int(n), 2 ** 61 - 1)),
+    ], ids=["rational", "gfp(5)", "gfp(2^61-1)"])
+    @pytest.mark.parametrize("n", [0, 1, -1, -7, 4, 5, 12, 2 ** 61 - 1, 2 ** 61 + 5,
+                                   2 ** 64 + 3, -(2 ** 70), True, False])
+    def test_from_int_matches_the_public_constructor(self, sample, public, n):
+        built, expected = sample._from_int(n), public(n)
+        assert type(built) is type(expected)
+        assert built == expected and built._key() == expected._key()
+        assert all(type(part) is int for part in built._key())
+        assert hash(built) == hash(expected)
+
 
 class TestRationalLaws:
     @given(rationals(), rationals(), rationals())
