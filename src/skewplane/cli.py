@@ -177,8 +177,7 @@ def _cmd_construct(args) -> int:
     aux = parse_point(args.aux, field)
     if args.frame_origin or args.frame_unit:
         if not (args.frame_origin and args.frame_unit):
-            raise ExpressionSyntaxError(
-                "frame origin and unit must be given together", 0)
+            raise UsageError("frame origin and unit must be given together")
         frame = LineFrame(parse_point(args.frame_origin, field),
                           parse_point(args.frame_unit, field))
     else:

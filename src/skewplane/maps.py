@@ -25,11 +25,12 @@ cross-ratio turns lambda into 1 - lambda, or lambda^-1, exactly, also
 over a skew field: E. Artin, Geometric Algebra, 1957, ch. II.)  So B is
 the normal form (1-omega, omega, -Q) on C's S, with C's zero and unit
 points exchanged, and D is C inverted (below): omega^-1 - (X-A)^-1 Q
-omega^-1, its P = 1 not multiplied.  The verify_* runners and
-``preimage`` compute the constants once per call and keep nothing after
-it; a value then costs 1 subtraction, 1 inverse, 2 products (A, B, C;
-D: 1) and 1 sum (A: 2 subtractions and no sum) instead of the
-cross-ratio's 4 subtractions, 2 inverses and 3 products.
+omega^-1, its P = 1 not multiplied.  A base computes the constants once,
+at construction, together with its S, Z0 and U, and the verify_*
+runners, ``preimage`` and ``omitted_value`` read them from it; a value
+then costs 1 subtraction, 1 inverse, 2 products (A, B, C; D: 1) and
+1 sum (A: 2 subtractions and no sum) instead of the cross-ratio's
+4 subtractions, 2 inverses and 3 products.
 
 Each family's image is known exactly.  P and Q are nonzero, and
 (X-S)^-1 takes every nonzero value as X runs over the line but S, so
@@ -108,10 +109,14 @@ class CrossRatioBase(Immutable, Record):
 
     The standing hypothesis of every verified theorem applies: the three
     base points are pairwise distinct and all distinct from the zero
-    element of the field.
+    element of the field.  The family and points decide ``==``, the hash,
+    ``repr`` and ``str``; the rest derive from them at construction: the
+    singular, zero and unit points and the X-free constants of the map
+    and of its inverse map (``_factors``).
     """
 
-    __slots__ = ("family", "points")
+    __slots__ = ("family", "points", "_singular", "_zero", "_unit",
+                 "_constants", "_inverse_constants")
 
     def __init__(self, family: Family, points: Tuple[SkewScalar, SkewScalar, SkewScalar]):
         self._init(family, points)
@@ -123,6 +128,15 @@ class CrossRatioBase(Immutable, Record):
         for point in self.points:
             if point.is_zero():
                 raise InvalidBaseError("base points must differ from the zero point")
+        self._init(family, points, points[_SINGULAR_INDEX[family]],
+                   points[_ZERO_INDEX[family]], points[_UNIT_INDEX[family]],
+                   *_factors(self, inverse=True))
+
+    def _values(self) -> tuple:
+        return (self.family, self.points)
+
+    def __repr__(self) -> str:
+        return f"CrossRatioBase(family={self.family!r}, points={self.points!r})"
 
     def slots(self, x: SkewScalar) -> Tuple[SkewScalar, ...]:
         """The full four-slot argument list with x in the free slot."""
@@ -136,25 +150,25 @@ class CrossRatioBase(Immutable, Record):
 
 def singular_point(base: CrossRatioBase) -> SkewScalar:
     """The argument at which the family's map is undefined."""
-    return base.points[_SINGULAR_INDEX[base.family]]
+    return base._singular
 
 
 def zero_point(base: CrossRatioBase) -> SkewScalar:
     """The argument the map sends to the additive neutral O."""
-    return base.points[_ZERO_INDEX[base.family]]
+    return base._zero
 
 
 def unit_point(base: CrossRatioBase) -> SkewScalar:
     """The argument the map sends to the multiplicative neutral I."""
-    return base.points[_UNIT_INDEX[base.family]]
+    return base._unit
 
 
 def _check_argument(base: CrossRatioBase, x: SkewScalar,
                     invertible: bool = False) -> None:
     """Refuse the singular point, and the zero point where the value is inverted."""
-    if x == singular_point(base):
+    if x == base._singular:
         raise SingularArgumentError(base.family.value, x)
-    if invertible and x == zero_point(base):
+    if invertible and x == base._zero:
         raise ZeroValueNotInvertibleError(
             f"map value at {x} is the zero point and has no inverse")
 
@@ -186,7 +200,8 @@ def _factors(base: CrossRatioBase, inverse: bool = False):
     """The X-free constants of the base's map: (g,) or (omega, P, Q), with
     P = None for P = 1.  B and D take C's on the same points.  With
     ``inverse``, the pair of these and the inverse map's constants, which
-    for D are C's own, not D's inverted back."""
+    for D are C's own, not D's inverted back.  The base's constructor
+    keeps the pair; everything else reads it there."""
     p0, p1, p2 = base.points
     if base.family is Family.A:
         factors = ((p0 - p2) * (p0 - p1).inverse(),)
@@ -216,9 +231,7 @@ def _map_function(base: CrossRatioBase, factors,
     """X -> evaluate(base, X) from the base's factors or, with ``inverse``,
     X -> inverse_value(base, X) from the inverse map's factors, on the
     arguments ``_check_argument`` admits."""
-    s, z = singular_point(base), zero_point(base)
-    if inverse:
-        s, z = z, s
+    s, z = (base._zero, base._singular) if inverse else (base._singular, base._zero)
     if base.family is Family.A:
         g, = factors
         value = lambda x: (x - s).inverse() * g * (x - z)
@@ -281,9 +294,9 @@ def _valid_arguments(base: CrossRatioBase, candidates, count: Optional[int],
     """The first ``count`` (None: all) candidates other than the singular
     point and, where values are inverted, the zero point, with the number
     of excluded candidates passed over as the rejections."""
-    excluded = [singular_point(base)]
+    excluded = [base._singular]
     if exclude_zero_point:
-        excluded.append(zero_point(base))
+        excluded.append(base._zero)
     values: List[SkewScalar] = []
     rejections = 0
     for candidate in candidates:
@@ -351,12 +364,13 @@ def _shifted(row: List[SkewScalar], k: int) -> List[SkewScalar]:
     return row[k:] + row[:k]
 
 
-def _map_row(base: CrossRatioBase, factors, samples: SampleSet,
+def _map_row(base: CrossRatioBase, samples: SampleSet,
              anchor: Optional[SkewScalar] = None):
     """The map values in sample order, once per distinct argument, from the
-    factors, and at ``anchor`` (the zero or unit point, also where sampled)
-    by ``evaluate``, so the neutral-element checks test the definitional route."""
-    value = _map_function(base, factors)
+    base's constants, and at ``anchor`` (the zero or unit point, also where
+    sampled) by ``evaluate``, so the neutral-element checks test the
+    definitional route."""
+    value = _map_function(base, base._constants)
     v = {x: value(x) for x in samples.values}
     if anchor is not None:
         v[anchor] = evaluate(base, anchor)
@@ -368,14 +382,15 @@ def _check(report: VerificationReport, name: str, samples: SampleSet, width: int
     """Record whether holds(i) at every sample index i; a failure names the
     ``width`` arguments from the first failing index on, cyclically."""
     args = samples.values
-    failed = next((i for i in range(len(args)) if not holds(i)), None)
-    counterexample = None if failed is None else ", ".join(
-        f"{label}={args[(failed + j) % len(args)]}"
-        for j, label in enumerate("XYZ"[:width])) + extra
-    report.results.append(IdentityResult(
-        name=name, samples=len(args) if failed is None else failed + 1,
-        rejections=samples.rejections, passed=failed is None,
-        counterexample=counterexample))
+    count = len(args)
+    for i in range(count):
+        if not holds(i):
+            counterexample = ", ".join(f"{label}={args[(i + j) % count]}"
+                                       for j, label in enumerate("XYZ"[:width]))
+            report.results.append(IdentityResult(
+                name, i + 1, samples.rejections, False, counterexample + extra))
+            return
+    report.results.append(IdentityResult(name, count, samples.rejections, True))
 
 
 def verify_addition_structure(base: CrossRatioBase,
@@ -383,9 +398,8 @@ def verify_addition_structure(base: CrossRatioBase,
     """Pointwise checks of the additive identities: associativity,
     commutativity, and the zero element, plus the informational closure
     record for sums of map values."""
-    zero_arg = zero_point(base)
-    factors = _factors(base)
-    x, zero_value = _map_row(base, factors, samples, zero_arg)
+    zero_arg = base._zero
+    x, zero_value = _map_row(base, samples, zero_arg)
     y, z = _shifted(x, 1), _shifted(x, 2)
     s = [a + b for a, b in zip(x, y)]
     s1 = _shifted(s, 1)
@@ -399,7 +413,7 @@ def verify_addition_structure(base: CrossRatioBase,
     _check(report, "zero element neutrality", samples, 1,
            lambda i: zero_ok and x[i] + zero_value == x[i], f", zero point={zero_arg}")
 
-    _record_closure(report, base, factors, samples, s, operation="+")
+    _record_closure(report, base, samples, s, operation="+")
     return report
 
 
@@ -413,9 +427,8 @@ def verify_multiplicative_group(base: CrossRatioBase,
     inverse); build it with ``exclude_zero_point=True``.
     """
     one = base.points[0]._from_int(1)
-    unit_arg = unit_point(base)
-    factors, inverse_factors = _factors(base, inverse=True)
-    x, u = _map_row(base, factors, samples, unit_arg)
+    unit_arg = base._unit
+    x, u = _map_row(base, samples, unit_arg)
     z = _shifted(x, 2)
     p = [a * b for a, b in zip(x, _shifted(x, 1))]
     p1 = _shifted(p, 1)
@@ -428,7 +441,7 @@ def verify_multiplicative_group(base: CrossRatioBase,
            lambda i: unit_ok and x[i] * u == x[i] and u * x[i] == x[i],
            f", unit point={unit_arg}")
 
-    inverse_of = _map_function(base, inverse_factors, inverse=True)
+    inverse_of = _map_function(base, base._inverse_constants, inverse=True)
 
     def inverse_law(i):
         inverse = inverse_of(samples.values[i])
@@ -436,14 +449,14 @@ def verify_multiplicative_group(base: CrossRatioBase,
 
     _check(report, "two-sided inverse law", samples, 1, inverse_law)
 
-    _record_closure(report, base, factors, samples, p, operation="*")
+    _record_closure(report, base, samples, p, operation="*")
     return report
 
 
 def verify_distributive(base: CrossRatioBase,
                         samples: SampleSet) -> VerificationReport:
     """Pointwise checks of both distributive identities on sampled triples."""
-    x, _ = _map_row(base, _factors(base), samples)
+    x, _ = _map_row(base, samples)
     y, z = _shifted(x, 1), _shifted(x, 2)
     s = [a + b for a, b in zip(x, y)]
     p = [a * b for a, b in zip(x, y)]
@@ -471,13 +484,13 @@ def omitted_value(base: CrossRatioBase) -> Optional[SkewScalar]:
     Families B, C and D omit omega of their normal form
     omega + P (X-S)^-1 Q.  Family A has no single omitted value: None.
     """
-    return None if base.family is Family.A else _factors(base)[0]
+    return None if base.family is Family.A else base._constants[0]
 
 
-def _attainment(base: CrossRatioBase, factors) -> Callable[[SkewScalar], bool]:
+def _attainment(base: CrossRatioBase) -> Callable[[SkewScalar], bool]:
     """The membership test of the base's image: value -> attained or not.
 
-    Its constants come from the base's factors, so a caller deciding many
+    Its constants come from the base's own, so a caller deciding many
     values pays one comparison (families B, C, D) or one psi test
     (family A) per value.
 
@@ -491,9 +504,9 @@ def _attainment(base: CrossRatioBase, factors) -> Callable[[SkewScalar], bool]:
     50, 1944; Janovska and Opfer, Mitt. Math. Ges. Hamburg 27, 2008).
     """
     if base.family is not Family.A:
-        omega = factors[0]
+        omega = base._constants[0]
         return lambda w: w != omega
-    g, = factors
+    g, = base._constants
     gg = g * g
     _, c_, d_ = base.points
 
@@ -512,16 +525,15 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
     image's membership test (module docstring).  The witness is solved in
     closed form and checked by evaluating it back; failing that is a bug.
     """
-    factors = _factors(base)
-    if not _attainment(base, factors)(value):
+    if not _attainment(base)(value):
         return NOT_ATTAINED, None
     if base.family is Family.A:
-        witness = _witness_family_a(base, factors[0], value)
+        witness = _witness_family_a(base, base._constants[0], value)
     else:
-        omega, p, q = factors
+        omega, p, q = base._constants
         t = q * (value - omega).inverse()
-        witness = singular_point(base) + (t if p is None else t * p)
-    if witness == singular_point(base) or evaluate(base, witness) != value:  # pragma: no cover
+        witness = base._singular + (t if p is None else t * p)
+    if witness == base._singular or evaluate(base, witness) != value:  # pragma: no cover
         raise AssertionError(f"preimage witness {witness} of {value} failed "
                              f"its back-check, {base}")
     return ATTAINED, witness
@@ -540,10 +552,10 @@ def _witness_family_a(base: CrossRatioBase, g: SkewScalar,
     return psi.inverse() * (g * c - c * conj)
 
 
-def _record_closure(report: VerificationReport, base: CrossRatioBase, factors,
+def _record_closure(report: VerificationReport, base: CrossRatioBase,
                     samples: SampleSet, combined: List[SkewScalar],
                     operation: str) -> None:
-    hits = sum(map(_attainment(base, factors), combined))
+    hits = sum(map(_attainment(base), combined))
     count = len(samples.values)
     name = ("closure of sums under the map" if operation == "+"
             else "closure of products under the map")

@@ -84,9 +84,13 @@ def _ratio_str(n: int, d: int) -> str:
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        raise UsageError(
-            "value too long to print: more than "
-            f"{sys.get_int_max_str_digits()} digits") from None
+        raise _too_long_to_print() from None
+
+
+def _too_long_to_print() -> UsageError:
+    """The error for a value whose digits exceed the interpreter's limit."""
+    return UsageError("value too long to print: more than "
+                      f"{sys.get_int_max_str_digits()} digits")
 
 
 def _ratio_hash(n: int, d: int) -> int:
@@ -571,7 +575,16 @@ class RationalQuaternion(SkewScalar):
         return (RationalQuaternion._wrap, (self._n, self._d))
 
     def __str__(self) -> str:
-        return "({},{},{},{})".format(*(_ratio_str(a, self._d) for a in self._n))
+        """``(w,x,y,z)``, each component as ``_ratio_str`` prints it."""
+        d = self._d
+        try:
+            if d == 1:
+                return "({},{},{},{})".format(*self._n)
+            return "({},{},{},{})".format(*(
+                f"{a // g}/{d // g}" if (g := math.gcd(a, d)) != d else str(a // g)
+                for a in self._n))
+        except ValueError:
+            raise _too_long_to_print() from None
 
     def __repr__(self) -> str:
         return f"RationalQuaternion{self.components()}"

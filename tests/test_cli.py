@@ -284,6 +284,16 @@ class TestConstructCommand:
         assert code == 0
         assert "coordinate = 5" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("option", ["--frame-origin", "--frame-unit"])
+    def test_frame_option_alone_is_a_usage_error(self, capsys, option):
+        # an option combination, not an expression: no offset to report
+        code = main(["construct", "add", "--a", "2", "--b", "3", "--aux", "(0,1)",
+                     option, "(1,1)"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error[UsageError]: frame origin and unit must be given together\n"
+
 
 class TestVerifyCommand:
     def test_rational_family_a(self, capsys):

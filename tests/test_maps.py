@@ -1,6 +1,8 @@
 """Cross-ratio map families: distinguished points, inverses, verifiers."""
 
+import copy
 import operator
+import pickle
 import random
 import re
 from collections import Counter
@@ -357,6 +359,38 @@ class TestAnharmonicGroup:
         assert compared == (p - 1) * (p - 2) * (p - 3) * (2 * p - 3)
 
 
+#: Three distinct nonzero points and up to six arguments, of one backend.
+POINTS_AND_ARGUMENTS = st.one_of(*(
+    st.tuples(st.lists(elements.filter(lambda v: not v.is_zero()),
+                       min_size=3, max_size=3, unique=True).map(tuple),
+              st.lists(elements, max_size=6))
+    for elements in (rationals(), st.integers(0, 10).map(GF11.from_int), quaternions())))
+
+
+class TestCarriedConstants:
+    """A base carries S, Z0, U and the constants of its map and inverse map."""
+
+    @given(POINTS_AND_ARGUMENTS)
+    @example((IJK_QUADRUPLE[1:], [IJK_QUADRUPLE[0], RationalQuaternion(0)]))
+    def test_slots_give_the_definitional_map(self, drawn):
+        points, arguments = drawn
+        for family in Family:
+            base = CrossRatioBase(family, points)
+            assert (base._singular, base._zero, base._unit) == (
+                points[maps_module._SINGULAR_INDEX[family]],
+                points[maps_module._ZERO_INDEX[family]],
+                points[maps_module._UNIT_INDEX[family]])
+            value = maps_module._map_function(base, base._constants)
+            inverse = maps_module._map_function(base, base._inverse_constants,
+                                                inverse=True)
+            for x in [*points, *arguments]:
+                if x == base._singular:
+                    continue
+                assert value(x) == evaluate(base, x), (base, x)
+                if x != base._zero:
+                    assert inverse(x) == inverse_value(base, x), (base, x)
+
+
 def count_quaternion_ops(monkeypatch):
     """Count the RationalQuaternion operator calls, as count_rational_ops
     in test_canonical_lines does for rationals."""
@@ -379,43 +413,62 @@ class TestOpCounts:
                          RationalQuaternion(Fraction(1, 2), 0, -1, 1),
                          RationalQuaternion(-1, 2, 0, 0)))
 
-    # Every runner: the X-free constants (A: 2 sub, 1 inverse, 1 mul for
-    # g; C: 3 sub, 1 inverse, 1 mul for omega and Q; B: C's and 1 add for
-    # 1 - omega, which is (-omega) + 1, its -Q being a negation; D: C's
-    # and their inversion, 1 inverse and 1 mul for -Q omega^-1, its P = 1
-    # being no product) and three sampled values (A: 2 sub, 1 inverse,
-    # 2 mul each; B, C: 1 sub, 1 inverse, 2 mul, 1 add each; D: 1 sub,
-    # 1 inverse, 1 mul, 1 add each).  Each sum s_i = x_i + x_i+1 and
-    # product p_i = x_i x_i+1 is computed once.
+    # Construction: the X-free constants of the map and of its inverse map,
+    # once per base (A: 2 sub, 1 inverse, 1 mul for g and 1 inverse for
+    # g^-1; C: 3 sub, 1 inverse, 1 mul for omega and Q, then 1 inverse,
+    # 1 mul for Q omega^-1, its P = omega giving P' = 1; B: C's, 1 add for
+    # 1 - omega, which is (-omega) + 1, its -Q being a negation, then
+    # 1 inverse, 2 mul for omega^-1 P and Q omega^-1; D: C's and their
+    # inversion, 1 inverse and 1 mul for -Q omega^-1, its P = 1 being no
+    # product, its inverse map's constants being C's own).
+    @pytest.mark.parametrize("family, construction", [
+        (Family.A, {"__sub__": 2, "inverse": 2, "__mul__": 1}),
+        (Family.B, {"__sub__": 3, "inverse": 2, "__mul__": 3, "__add__": 1}),
+        (Family.C, {"__sub__": 3, "inverse": 2, "__mul__": 2}),
+        (Family.D, {"__sub__": 3, "inverse": 2, "__mul__": 2}),
+    ])
+    def test_construction_computes_the_constants(self, monkeypatch, family, construction):
+        counts = count_quaternion_ops(monkeypatch)
+        CrossRatioBase(family, self.POINTS)
+        assert dict(counts) == construction
+
+    # Every runner reads the constants from the base and pays for three
+    # sampled values (A: 2 sub, 1 inverse, 2 mul each; B, C: 1 sub,
+    # 1 inverse, 2 mul, 1 add each; D: 1 sub, 1 inverse, 1 mul, 1 add
+    # each).  Each sum s_i = x_i + x_i+1 and product p_i = x_i x_i+1 is
+    # computed once.
     # Addition: the zero point by evaluate (4 sub, 2 inverse, 3 mul); the
     # sums 3 add; associativity 6 add, commutativity 3, zero neutrality 3;
     # the closure record on the sums, through the attainment test: for A
     # g g and three psi (2 mul, 2 add, 1 sub each), for B, C, D none
-    # (omega is given).
+    # (omega is given).  So A: 6 + 4 + 3 = 13 sub, 3 + 2 = 5 inverse,
+    # 6 + 3 + 7 = 16 mul, 15 + 6 = 21 add; B, C: 3 + 4 = 7 sub, 5 inverse,
+    # 6 + 3 = 9 mul, 3 + 15 = 18 add; D: 7 sub, 5 inverse, 3 + 3 = 6 mul,
+    # 18 add.
     # Distributive: the sums 3 add, the products x_i x_i+1 and x_i x_i+2
-    # 6 mul; both laws, 3 mul and 3 add each.
+    # 6 mul; both laws, 3 mul and 3 add each.  So A: 6 sub, 3 inverse,
+    # 6 + 12 = 18 mul, 9 add; B, C: 3 sub, 3 inverse, 18 mul, 3 + 9 = 12
+    # add; D: 3 sub, 3 inverse, 3 + 12 = 15 mul, 12 add.
     # Group: the unit point by evaluate (4 sub, 2 inverse, 3 mul); the
-    # products 3 mul; associativity 6 mul, unit neutrality 6; the inverse
-    # map's constants, inverted from the base's own (A: 1 inverse for
-    # g^-1; B: 1 inverse, 2 mul for omega^-1 P and Q omega^-1; C: 1 inverse,
-    # 1 mul, its P = omega giving P' = 1; D: none, its inverse map being
-    # C's, whose constants D's were inverted from) and three inverse values
-    # like the values (C's like D's, D's like C's); the inverse law 6 mul;
-    # the closure record on the products, through the attainment test.
-    # So D's group call pays C's constants and their one inversion:
-    # 13 sub, 2 + 3 + 2 + 3 = 10 inverse (constants, values, unit point,
-    # inverse values), 2 + 3 + 3 + 3 + 12 + 6 + 6 = 35 mul (constants,
-    # values, unit point, products, associativity and unit, inverse
-    # values, inverse law), 6 add.
+    # products 3 mul; associativity 6 mul, unit neutrality 6; three inverse
+    # values from the inverse map's constants (A like A's values; B: 1 sub,
+    # 1 inverse, 2 mul, 1 add each, its P' = omega^-1 P; C: like D's values,
+    # its P' = 1; D: like C's values); the inverse law 6 mul; the closure
+    # record on the products, through the attainment test.  So A:
+    # 6 + 4 + 6 + 3 = 19 sub, 3 + 2 + 3 = 8 inverse,
+    # 6 + 3 + 15 + 6 + 6 + 7 = 43 mul, 6 add; B: 3 + 4 + 3 = 10 sub,
+    # 8 inverse, 6 + 3 + 15 + 6 + 6 = 36 mul, 3 + 3 = 6 add; C and D:
+    # 10 sub, 8 inverse, 6 add, and 6 + 3 + 15 + 3 + 6 (C) or
+    # 3 + 3 + 15 + 6 + 6 (D) = 33 mul.
     @pytest.mark.parametrize("family, distributive, group", [
-        (Family.A, {"__sub__": 8, "inverse": 4, "__mul__": 19, "__add__": 9},
-         {"__sub__": 21, "inverse": 10, "__mul__": 44, "__add__": 6}),
-        (Family.B, {"__sub__": 6, "inverse": 4, "__mul__": 19, "__add__": 13},
-         {"__sub__": 13, "inverse": 10, "__mul__": 39, "__add__": 7}),
-        (Family.C, {"__sub__": 6, "inverse": 4, "__mul__": 19, "__add__": 12},
-         {"__sub__": 13, "inverse": 10, "__mul__": 35, "__add__": 6}),
-        (Family.D, {"__sub__": 6, "inverse": 5, "__mul__": 17, "__add__": 12},
-         {"__sub__": 13, "inverse": 10, "__mul__": 35, "__add__": 6}),
+        (Family.A, {"__sub__": 6, "inverse": 3, "__mul__": 18, "__add__": 9},
+         {"__sub__": 19, "inverse": 8, "__mul__": 43, "__add__": 6}),
+        (Family.B, {"__sub__": 3, "inverse": 3, "__mul__": 18, "__add__": 12},
+         {"__sub__": 10, "inverse": 8, "__mul__": 36, "__add__": 6}),
+        (Family.C, {"__sub__": 3, "inverse": 3, "__mul__": 18, "__add__": 12},
+         {"__sub__": 10, "inverse": 8, "__mul__": 33, "__add__": 6}),
+        (Family.D, {"__sub__": 3, "inverse": 3, "__mul__": 15, "__add__": 12},
+         {"__sub__": 10, "inverse": 8, "__mul__": 33, "__add__": 6}),
     ])
     def test_each_value_pays_for_the_free_point_only(self, monkeypatch, family,
                                                      distributive, group):
@@ -428,10 +481,10 @@ class TestOpCounts:
         assert dict(counts) == group
 
     @pytest.mark.parametrize("family, addition", [
-        (Family.A, {"__sub__": 15, "inverse": 6, "__mul__": 17, "__add__": 21}),
-        (Family.B, {"__sub__": 10, "inverse": 6, "__mul__": 10, "__add__": 19}),
-        (Family.C, {"__sub__": 10, "inverse": 6, "__mul__": 10, "__add__": 18}),
-        (Family.D, {"__sub__": 10, "inverse": 7, "__mul__": 8, "__add__": 18}),
+        (Family.A, {"__sub__": 13, "inverse": 5, "__mul__": 16, "__add__": 21}),
+        (Family.B, {"__sub__": 7, "inverse": 5, "__mul__": 9, "__add__": 18}),
+        (Family.C, {"__sub__": 7, "inverse": 5, "__mul__": 9, "__add__": 18}),
+        (Family.D, {"__sub__": 7, "inverse": 5, "__mul__": 6, "__add__": 18}),
     ])
     def test_addition_structure_shares_its_sums(self, monkeypatch, family, addition):
         base = CrossRatioBase(family, self.POINTS)
@@ -848,3 +901,51 @@ class TestEdgeReports:
         lines = poisoned_lines(monkeypatch, backend, family, operation)
         assert any("FAIL" in line for line in lines)
         assert lines == edge_golden()[f"# poisoned {backend} {family.value} {operation}"]
+
+
+class TestBaseValue:
+    """A base is its family and points: the derived slots change neither
+    its printed forms nor its equality, and travel with its copies."""
+
+    DERIVED = ("_singular", "_zero", "_unit", "_constants", "_inverse_constants")
+    POINTS_REPR = {
+        "rational": "(Rational(3), Rational(1), Rational(5))",
+        "gfp7": "(PrimeFieldElement(1, 7), PrimeFieldElement(3, 7), PrimeFieldElement(6, 7))",
+        "quaternion": (
+            "(RationalQuaternion(Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1)), "
+            "RationalQuaternion(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), "
+            "RationalQuaternion(Fraction(0, 1), Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)))"),
+    }
+    POINTS_STR = {"rational": "(3, 1, 5)", "gfp7": "(1 mod 7, 3 mod 7, 6 mod 7)",
+                  "quaternion": "((0,1,0,0), (0,0,1,0), (0,0,0,1))"}
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("backend", list(EDGE_BACKENDS))
+    def test_a_base_is_its_family_and_points(self, backend, family):
+        _, base = edge_base(backend, family)
+        f = family.value
+        assert repr(base) == (f"CrossRatioBase(family=<Family.{f}: '{f}'>, "
+                              f"points={self.POINTS_REPR[backend]})")
+        assert str(base) == f"family {f} base {self.POINTS_STR[backend]}"
+
+        altered = copy.copy(base)
+        for name in self.DERIVED:
+            object.__setattr__(altered, name, None)
+        for twin in (CrossRatioBase(family, base.points), altered):
+            assert twin == base and hash(twin) == hash(base)
+        assert hash(base) == hash((family, base.points))
+        for other in Family:
+            if other is not family:
+                assert CrossRatioBase(other, base.points) != base
+        assert CrossRatioBase(family, base.points[::-1]) != base
+
+        for twin in (copy.copy(base), copy.deepcopy(base), pickle.loads(pickle.dumps(base))):
+            assert twin == base and hash(twin) == hash(base)
+            for name in self.DERIVED:
+                assert getattr(twin, name) == getattr(base, name), name
+
+        for name in self.DERIVED:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(base, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(base, name)

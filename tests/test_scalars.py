@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import nonzero_quaternions, nonzero_rationals, quaternions, rationals
-from skewplane.errors import BackendMismatchError, ZeroInverseError
+from skewplane.errors import BackendMismatchError, UsageError, ZeroInverseError
 from skewplane.expressions import parse_scalar
 from skewplane.scalars import (
     PrimeField,
@@ -458,6 +458,19 @@ class TestQuaternionStorage:
         for first, second in routes:
             assert first == second and hash(first) == hash(second)
         assert hash(a) == hash(a.components()) == hash(p)
+
+    @given(fraction_quads)
+    @example((Fraction(0), Fraction(-7), Fraction(3), Fraction(0)))
+    def test_str_prints_each_component_in_lowest_terms(self, p):
+        assert str(RationalQuaternion(*p)) == "({},{},{},{})".format(*p)
+
+    @pytest.mark.parametrize("denominator", [1, 3])
+    def test_str_past_the_digit_limit_is_a_usage_error(self, denominator):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter prints integers of any length")
+        big = RationalQuaternion(Fraction(10 ** (sys.get_int_max_str_digits() + 1), denominator))
+        with pytest.raises(UsageError, match="value too long to print: more than"):
+            str(big)
 
     @given(fraction_quads)
     def test_str_round_trips_through_the_parser(self, p):
