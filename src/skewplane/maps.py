@@ -40,15 +40,15 @@ Z = S + Q (w-omega)^-1 P.  Family A attains w exactly when
 psi = g g - t g + n (t = w + conj(w), n = w conj(w)) is nonzero, or w is
 not central and equals h = (C-D)^-1 conj(g) (C-D): it omits g's
 conjugacy class but h for a non-real quaternion g, and g alone for a
-real g or a commutative field.
+real g or a commutative field.  A's constants carry g g for the psi test.
 
 The inverse map, the cross-ratio with the contents of the two final
 slots swapped, is the map of the swapped base: A and B on (p0, p2, p1),
-C and D exchanged on the same points.  ``_inverted`` gives its
-constants from the base's own, with S and Z0 exchanged; D's inverse map
-is C's, whose constants D's were inverted from.  For A that is
-g^-1, the swapped base's g = (p0-p1)(p0-p2)^-1.  For the normal form
-it is omega^-1 - omega^-1 P (X-Z0)^-1 Q omega^-1, where omega^-1 P = 1
+C and D exchanged on the same points.  Its constants come from the
+base's own, with S and Z0 exchanged; D's inverse map is C's, whose
+constants D's were inverted from.  For A that is g^-1, the swapped
+base's g = (p0-p1)(p0-p2)^-1.  For the normal form ``_inverted`` gives
+omega^-1 - omega^-1 P (X-Z0)^-1 Q omega^-1, where omega^-1 P = 1
 for P = omega: the map vanishes at Z0, so Z0 - S = -Q omega^-1 P, and
 the product with the map telescopes to 1 on both sides.
 
@@ -130,7 +130,7 @@ class CrossRatioBase(Immutable, Record):
                 raise InvalidBaseError("base points must differ from the zero point")
         self._init(family, points, points[_SINGULAR_INDEX[family]],
                    points[_ZERO_INDEX[family]], points[_UNIT_INDEX[family]],
-                   *_factors(self, inverse=True))
+                   *_factors(self))
 
     def _values(self) -> tuple:
         return (self.family, self.points)
@@ -196,47 +196,48 @@ def inverse_value(base: CrossRatioBase, x: SkewScalar) -> SkewScalar:
 # the maps on their X-free constants (table in the module docstring)
 
 
-def _factors(base: CrossRatioBase, inverse: bool = False):
-    """The X-free constants of the base's map: (g,) or (omega, P, Q), with
-    P = None for P = 1.  B and D take C's on the same points.  With
-    ``inverse``, the pair of these and the inverse map's constants, which
-    for D are C's own, not D's inverted back.  The base's constructor
-    keeps the pair; everything else reads it there."""
+def _factors(base: CrossRatioBase):
+    """The X-free constants of the base's map and of its inverse map:
+    (g, g g) and (g^-1,), or normal forms (omega, P, Q) with P = None for
+    P = 1.  B and D take C's on the same points, and D's inverse map's are
+    C's own, not D's inverted back.  The base's constructor keeps the
+    pair; everything else reads it there."""
     p0, p1, p2 = base.points
     if base.family is Family.A:
-        factors = ((p0 - p2) * (p0 - p1).inverse(),)
-    else:
-        omega, q = (p0 - p2).inverse() * (p1 - p2), p1 - p0
-        c = (omega, omega, q)
-        if base.family is Family.D:
-            return (_inverted(c), c) if inverse else _inverted(c)
-        factors = (1 - omega, omega, -q) if base.family is Family.B else c
-    return (factors, _inverted(factors)) if inverse else factors
+        g = (p0 - p2) * (p0 - p1).inverse()
+        return (g, g * g), (g.inverse(),)
+    omega, q = (p0 - p2).inverse() * (p1 - p2), p1 - p0
+    c = (omega, omega, q)
+    if base.family is Family.D:
+        return _inverted(c), c
+    factors = (1 - omega, omega, -q) if base.family is Family.B else c
+    return factors, _inverted(factors)
 
 
 def _inverted(factors) -> Tuple[SkewScalar, ...]:
-    """The constants of the pointwise inverse map, whose singular and zero
-    points are the map's zero and singular points: g^-1, or
+    """The constants of the normal form's pointwise inverse map, whose
+    singular and zero points are the map's zero and singular points:
     omega^-1 - omega^-1 P (X-Z0)^-1 Q omega^-1, where omega^-1 P is 1
     (None) when P is omega itself, as in family C."""
-    if len(factors) == 1:
-        return (factors[0].inverse(),)
     omega, p, q = factors
     w = omega.inverse()
     return (w, None if p is omega else w if p is None else w * p, -(q * w))
 
 
-def _map_function(base: CrossRatioBase, factors,
+def _map_function(base: CrossRatioBase,
                   inverse: bool = False) -> Callable[[SkewScalar], SkewScalar]:
-    """X -> evaluate(base, X) from the base's factors or, with ``inverse``,
-    X -> inverse_value(base, X) from the inverse map's factors, on the
+    """X -> evaluate(base, X) from the base's constants or, with ``inverse``,
+    X -> inverse_value(base, X) from the inverse map's constants, on the
     arguments ``_check_argument`` admits."""
-    s, z = (base._zero, base._singular) if inverse else (base._singular, base._zero)
+    if inverse:
+        s, z, constants = base._zero, base._singular, base._inverse_constants
+    else:
+        s, z, constants = base._singular, base._zero, base._constants
     if base.family is Family.A:
-        g, = factors
+        g = constants[0]
         value = lambda x: (x - s).inverse() * g * (x - z)
     else:
-        omega, p, q = factors
+        omega, p, q = constants
         value = ((lambda x: omega + (x - s).inverse() * q) if p is None
                  else lambda x: omega + p * (x - s).inverse() * q)
 
@@ -370,7 +371,7 @@ def _map_row(base: CrossRatioBase, samples: SampleSet,
     base's constants, and at ``anchor`` (the zero or unit point, also where
     sampled) by ``evaluate``, so the neutral-element checks test the
     definitional route."""
-    value = _map_function(base, base._constants)
+    value = _map_function(base)
     v = {x: value(x) for x in samples.values}
     if anchor is not None:
         v[anchor] = evaluate(base, anchor)
@@ -413,7 +414,7 @@ def verify_addition_structure(base: CrossRatioBase,
     _check(report, "zero element neutrality", samples, 1,
            lambda i: zero_ok and x[i] + zero_value == x[i], f", zero point={zero_arg}")
 
-    _record_closure(report, base, samples, s, operation="+")
+    _record_closure(report, "closure of sums under the map", base, samples, s)
     return report
 
 
@@ -441,7 +442,7 @@ def verify_multiplicative_group(base: CrossRatioBase,
            lambda i: unit_ok and x[i] * u == x[i] and u * x[i] == x[i],
            f", unit point={unit_arg}")
 
-    inverse_of = _map_function(base, base._inverse_constants, inverse=True)
+    inverse_of = _map_function(base, inverse=True)
 
     def inverse_law(i):
         inverse = inverse_of(samples.values[i])
@@ -449,7 +450,7 @@ def verify_multiplicative_group(base: CrossRatioBase,
 
     _check(report, "two-sided inverse law", samples, 1, inverse_law)
 
-    _record_closure(report, base, samples, p, operation="*")
+    _record_closure(report, "closure of products under the map", base, samples, p)
     return report
 
 
@@ -506,8 +507,7 @@ def _attainment(base: CrossRatioBase) -> Callable[[SkewScalar], bool]:
     if base.family is not Family.A:
         omega = base._constants[0]
         return lambda w: w != omega
-    g, = base._constants
-    gg = g * g
+    g, gg = base._constants
     _, c_, d_ = base.points
 
     def attained(w: SkewScalar) -> bool:
@@ -528,7 +528,7 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
     if not _attainment(base)(value):
         return NOT_ATTAINED, None
     if base.family is Family.A:
-        witness = _witness_family_a(base, base._constants[0], value)
+        witness = _witness_family_a(base, value)
     else:
         omega, p, q = base._constants
         t = q * (value - omega).inverse()
@@ -539,26 +539,23 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
     return ATTAINED, witness
 
 
-def _witness_family_a(base: CrossRatioBase, g: SkewScalar,
-                      w: SkewScalar) -> SkewScalar:
+def _witness_family_a(base: CrossRatioBase, w: SkewScalar) -> SkewScalar:
     """Family A, c = g C - D w: Z = psi^-1 (g c - c conj(w)), or where psi
     vanishes (so g c = c conj(w)) Z = c (conj(w) - w)^-1."""
+    g, gg = base._constants
     _, c_, d_ = base.points
     c = g * c_ - d_ * w
     conj = w.conjugate()
-    psi = g * g - (w + conj) * g + w * conj
+    psi = gg - (w + conj) * g + w * conj
     if psi.is_zero():
         return c * (conj - w).inverse()
     return psi.inverse() * (g * c - c * conj)
 
 
-def _record_closure(report: VerificationReport, base: CrossRatioBase,
-                    samples: SampleSet, combined: List[SkewScalar],
-                    operation: str) -> None:
+def _record_closure(report: VerificationReport, name: str, base: CrossRatioBase,
+                    samples: SampleSet, combined: List[SkewScalar]) -> None:
     hits = sum(map(_attainment(base), combined))
     count = len(samples.values)
-    name = ("closure of sums under the map" if operation == "+"
-            else "closure of products under the map")
     # every value is decided; "undecided 0" keeps the note's parsed form
     note = (f"attained {hits}, no preimage {count - hits}, "
             "undecided 0 (recorded, not asserted)")

@@ -16,17 +16,16 @@ backends never mix: any cross-backend operation raises
 :class:`BackendMismatchError`.  A backend supplies only its storage, its
 arithmetic, a canonical ``_key`` and ``_from_int``.
 
-Scalars share dicts and sets only with scalars.  ``==`` embeds an ``int``,
-but only :class:`Rational` hashes like the embedded ``int``: for GF(p) no
-hash can agree with every int of a residue class, so ``3 in
-{RationalQuaternion(3)}`` is False although ``RationalQuaternion(3) == 3``.
+Every scalar hashes its canonical ``_key``.  ``==`` embeds an ``int``, but
+no scalar hashes like the embedded ``int`` (for GF(p) no hash could agree
+with every int of a residue class), so ints and scalars never share dicts
+or sets: ``3 in {Rational(3)}`` is False although ``Rational(3) == 3``.
 
 Rationals, and quaternions too, do their arithmetic on plain integers: a
 rational is a numerator over a positive denominator with no common
 factor, a quaternion four numerators over one positive common
 denominator that shares no factor with all of them (canonical forms).
-Rationals hash like :class:`fractions.Fraction`, quaternions like the tuple
-of their components; only the component views import ``fractions``.
+Only the quaternion component views import ``fractions``.
 
 Only the public constructors validate their arguments.  Arithmetic builds
 each result in one step: it computes the canonical form itself, writes
@@ -91,15 +90,6 @@ def _too_long_to_print() -> UsageError:
     """The error for a value whose digits exceed the interpreter's limit."""
     return UsageError("value too long to print: more than "
                       f"{sys.get_int_max_str_digits()} digits")
-
-
-def _ratio_hash(n: int, d: int) -> int:
-    """``hash(Fraction(n, d))`` for reduced n / d, d > 0 (``hash`` makes -1 into -2)."""
-    try:
-        value = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
-    except ValueError:  # the denominator is a multiple of the modulus
-        value = sys.hash_info.inf
-    return value if n >= 0 else -value
 
 
 class Immutable:
@@ -321,9 +311,7 @@ class Rational(SkewScalar):
             return self.numerator == other.numerator and self.denominator == other.denominator
         return super().__eq__(other)
 
-    def __hash__(self):
-        """``hash(Fraction(n, d))`` (``hash`` makes -1 into -2)."""
-        return _ratio_hash(self.numerator, self.denominator)
+    __hash__ = SkewScalar.__hash__
 
     def __str__(self) -> str:
         return _ratio_str(self.numerator, self.denominator)
@@ -440,15 +428,14 @@ class RationalQuaternion(SkewScalar):
     ``((0, 0, 0, 0), 1)``), so the form is canonical and equality compares
     integers.  Each operation reduces its result with at most one gcd.
     ``w``, ``x``, ``y``, ``z`` and ``components()`` are exact rational
-    views; the hash is that of ``components()``, memoized in ``_hash``
-    because verifiers key dicts by quaternions.  The norm
+    views; the hash is that of the canonical ``(_n, _d)``.  The norm
     w^2 + x^2 + y^2 + z^2 vanishes only at zero, which guarantees every
     nonzero element is invertible: q^-1 = conjugate(q) / norm(q), exactly.
     Multiplication follows the Hamilton table (i*j = k, j*i = -k, ...)
     and is the package's working witness of non-commutativity.
     """
 
-    __slots__ = ("_n", "_d", "_hash")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, w: RationalLike = 0, x: RationalLike = 0,
                  y: RationalLike = 0, z: RationalLike = 0):
@@ -560,19 +547,7 @@ class RationalQuaternion(SkewScalar):
             return self._d == other._d and self._n == other._n
         return super().__eq__(other)
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # first call: hash(self.components())
-            value = hash(tuple(_ratio_hash(a // (g := math.gcd(a, self._d)), self._d // g)
-                               for a in self._n))
-            _set_quaternion_hash(self, value)
-            return value
-
-    def __reduce__(self):
-        # the memo stays out of copies and pickles: hash values of numbers
-        # differ between builds (``sys.hash_info``) and Python versions
-        return (RationalQuaternion._wrap, (self._n, self._d))
+    __hash__ = SkewScalar.__hash__
 
     def __str__(self) -> str:
         """``(w,x,y,z)``, each component as ``_ratio_str`` prints it."""
@@ -592,7 +567,6 @@ class RationalQuaternion(SkewScalar):
 
 _set_quaternion_n = RationalQuaternion._n.__set__
 _set_quaternion_d = RationalQuaternion._d.__set__
-_set_quaternion_hash = RationalQuaternion._hash.__set__
 
 
 def ensure_same_backend(first: SkewScalar, *rest: SkewScalar) -> None:

@@ -37,8 +37,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
 #: A config file whose second line holds the Latin-1 byte 0xE9 at offset 13.
 LATIN1_CONFIG = str(Path(__file__).resolve().parent / "data" / "latin1.cfg")
-#: Blank-line separated blocks: "$ <verify argv>", its stdout, "exit <code>".
+#: Blank-line separated blocks: "$ <argv>", its stdout, "exit <code>".
 VERIFY_GOLDEN = Path(__file__).resolve().parent / "data" / "verify_golden.txt"
+SELFTEST_GOLDEN = Path(__file__).resolve().parent / "data" / "selftest_golden.txt"
 
 #: psi_12 = 399165290221 * 798330580441 and psi_13, the least strong
 #: pseudoprimes to the first 12 and the first 13 prime bases.
@@ -391,11 +392,25 @@ class TestDesarguesCommand:
         assert cfg.center is not None
 
 
+def golden_cases(path):
+    """(argv, stdout, exit code) of each block of a golden file."""
+    for block in path.read_text(encoding="utf-8").split("\n\n"):
+        command, *stdout, status = block.strip("\n").split("\n")
+        yield (shlex.split(command.removeprefix("$ ")),
+               "".join(line + "\n" for line in stdout), int(status.removeprefix("exit ")))
+
+
 class TestSelftestCommand:
     def test_small_run_passes(self, capsys):
         assert main(["selftest", "--seed", "3", "--count", "8"]) == 0
         out = capsys.readouterr().out
         assert "selftest: pass" in out
+
+    @pytest.mark.parametrize("argv, stdout, code", golden_cases(SELFTEST_GOLDEN))
+    def test_report_is_unchanged(self, capsys, argv, stdout, code):
+        """Every suite line, byte for byte, as the golden file holds it."""
+        assert main(argv) == code
+        assert capsys.readouterr() == (stdout, "")
 
     def test_count_must_be_positive(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -418,11 +433,8 @@ class TestSelftestCommand:
 
 
 def verify_golden_cases():
-    for block in VERIFY_GOLDEN.read_text(encoding="utf-8").split("\n\n"):
-        command, *stdout, status = block.strip("\n").split("\n")
-        argv = shlex.split(command.removeprefix("$ "))
-        yield pytest.param(argv, "".join(line + "\n" for line in stdout),
-                           int(status.removeprefix("exit ")),
+    for argv, stdout, code in golden_cases(VERIFY_GOLDEN):
+        yield pytest.param(argv, stdout, code,
                            id=f"{argv[argv.index('--backend') + 1]}-{argv[2]}")
 
 

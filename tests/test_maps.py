@@ -210,14 +210,12 @@ class TestInverseValue:
 
 
 def assert_routes_agree(base, arguments):
-    """The verifiers' map, from the base's X-free factors, and inverse map,
-    from the inverse map's factors, equal evaluate and inverse_value at every
+    """The verifiers' map, from the base's X-free constants, and inverse map,
+    from the inverse map's constants, equal evaluate and inverse_value at every
     admissible argument, and refuse the same arguments; returns how many
     values were compared."""
-    factors, inverse_factors = maps_module._factors(base, inverse=True)
-    assert maps_module._factors(base) == factors
-    value = maps_module._map_function(base, factors)
-    inverse = maps_module._map_function(base, inverse_factors, inverse=True)
+    value = maps_module._map_function(base)
+    inverse = maps_module._map_function(base, inverse=True)
     singular, zero = singular_point(base), zero_point(base)
     compared = 0
     for x in arguments:
@@ -343,8 +341,9 @@ class TestAnharmonicGroup:
         for points in permutations(nonzero, 3):
             a, b, c, d = (CrossRatioBase(family, points) for family in Family)
             p0, p1, p2 = points
-            g, = maps_module._factors(a)
-            assert maps_module._factors(CrossRatioBase(Family.A, (p0, p2, p1))) == (g.inverse(),)
+            (g, gg), inverse_constants = maps_module._factors(a)
+            assert gg == g * g and inverse_constants == (g.inverse(),)
+            assert CrossRatioBase(Family.A, (p0, p2, p1))._constants[0] == g.inverse()
             assert omitted_value(b) == one - omitted_value(c)
             assert omitted_value(d) == omitted_value(c).inverse()
             for x in field.elements():
@@ -380,9 +379,8 @@ class TestCarriedConstants:
                 points[maps_module._SINGULAR_INDEX[family]],
                 points[maps_module._ZERO_INDEX[family]],
                 points[maps_module._UNIT_INDEX[family]])
-            value = maps_module._map_function(base, base._constants)
-            inverse = maps_module._map_function(base, base._inverse_constants,
-                                                inverse=True)
+            value = maps_module._map_function(base)
+            inverse = maps_module._map_function(base, inverse=True)
             for x in [*points, *arguments]:
                 if x == base._singular:
                     continue
@@ -414,15 +412,15 @@ class TestOpCounts:
                          RationalQuaternion(-1, 2, 0, 0)))
 
     # Construction: the X-free constants of the map and of its inverse map,
-    # once per base (A: 2 sub, 1 inverse, 1 mul for g and 1 inverse for
-    # g^-1; C: 3 sub, 1 inverse, 1 mul for omega and Q, then 1 inverse,
-    # 1 mul for Q omega^-1, its P = omega giving P' = 1; B: C's, 1 add for
-    # 1 - omega, which is (-omega) + 1, its -Q being a negation, then
+    # once per base (A: 2 sub, 1 inverse, 1 mul for g, 1 mul for g g and
+    # 1 inverse for g^-1; C: 3 sub, 1 inverse, 1 mul for omega and Q, then
+    # 1 inverse, 1 mul for Q omega^-1, its P = omega giving P' = 1; B: C's,
+    # 1 add for 1 - omega, which is (-omega) + 1, its -Q being a negation, then
     # 1 inverse, 2 mul for omega^-1 P and Q omega^-1; D: C's and their
     # inversion, 1 inverse and 1 mul for -Q omega^-1, its P = 1 being no
     # product, its inverse map's constants being C's own).
     @pytest.mark.parametrize("family, construction", [
-        (Family.A, {"__sub__": 2, "inverse": 2, "__mul__": 1}),
+        (Family.A, {"__sub__": 2, "inverse": 2, "__mul__": 2}),
         (Family.B, {"__sub__": 3, "inverse": 2, "__mul__": 3, "__add__": 1}),
         (Family.C, {"__sub__": 3, "inverse": 2, "__mul__": 2}),
         (Family.D, {"__sub__": 3, "inverse": 2, "__mul__": 2}),
@@ -440,9 +438,9 @@ class TestOpCounts:
     # Addition: the zero point by evaluate (4 sub, 2 inverse, 3 mul); the
     # sums 3 add; associativity 6 add, commutativity 3, zero neutrality 3;
     # the closure record on the sums, through the attainment test: for A
-    # g g and three psi (2 mul, 2 add, 1 sub each), for B, C, D none
-    # (omega is given).  So A: 6 + 4 + 3 = 13 sub, 3 + 2 = 5 inverse,
-    # 6 + 3 + 7 = 16 mul, 15 + 6 = 21 add; B, C: 3 + 4 = 7 sub, 5 inverse,
+    # three psi (2 mul, 2 add, 1 sub each), g g being given, for B, C, D
+    # none (omega is given).  So A: 6 + 4 + 3 = 13 sub, 3 + 2 = 5 inverse,
+    # 6 + 3 + 6 = 15 mul, 15 + 6 = 21 add; B, C: 3 + 4 = 7 sub, 5 inverse,
     # 6 + 3 = 9 mul, 3 + 15 = 18 add; D: 7 sub, 5 inverse, 3 + 3 = 6 mul,
     # 18 add.
     # Distributive: the sums 3 add, the products x_i x_i+1 and x_i x_i+2
@@ -456,13 +454,13 @@ class TestOpCounts:
     # its P' = 1; D: like C's values); the inverse law 6 mul; the closure
     # record on the products, through the attainment test.  So A:
     # 6 + 4 + 6 + 3 = 19 sub, 3 + 2 + 3 = 8 inverse,
-    # 6 + 3 + 15 + 6 + 6 + 7 = 43 mul, 6 add; B: 3 + 4 + 3 = 10 sub,
+    # 6 + 3 + 15 + 6 + 6 + 6 = 42 mul, 6 add; B: 3 + 4 + 3 = 10 sub,
     # 8 inverse, 6 + 3 + 15 + 6 + 6 = 36 mul, 3 + 3 = 6 add; C and D:
     # 10 sub, 8 inverse, 6 add, and 6 + 3 + 15 + 3 + 6 (C) or
     # 3 + 3 + 15 + 6 + 6 (D) = 33 mul.
     @pytest.mark.parametrize("family, distributive, group", [
         (Family.A, {"__sub__": 6, "inverse": 3, "__mul__": 18, "__add__": 9},
-         {"__sub__": 19, "inverse": 8, "__mul__": 43, "__add__": 6}),
+         {"__sub__": 19, "inverse": 8, "__mul__": 42, "__add__": 6}),
         (Family.B, {"__sub__": 3, "inverse": 3, "__mul__": 18, "__add__": 12},
          {"__sub__": 10, "inverse": 8, "__mul__": 36, "__add__": 6}),
         (Family.C, {"__sub__": 3, "inverse": 3, "__mul__": 18, "__add__": 12},
@@ -481,7 +479,7 @@ class TestOpCounts:
         assert dict(counts) == group
 
     @pytest.mark.parametrize("family, addition", [
-        (Family.A, {"__sub__": 13, "inverse": 5, "__mul__": 16, "__add__": 21}),
+        (Family.A, {"__sub__": 13, "inverse": 5, "__mul__": 15, "__add__": 21}),
         (Family.B, {"__sub__": 7, "inverse": 5, "__mul__": 9, "__add__": 18}),
         (Family.C, {"__sub__": 7, "inverse": 5, "__mul__": 9, "__add__": 18}),
         (Family.D, {"__sub__": 7, "inverse": 5, "__mul__": 6, "__add__": 18}),

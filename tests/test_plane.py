@@ -72,7 +72,7 @@ class TestLineThrough:
             field = QuaternionField()
             line = line_through(PlanePoint(field.i(), field.one()),
                                 PlanePoint(field.j(), -field.k()))
-        key = hash(line)  # memoizes the hash of every quaternion coordinate
+        key = hash(line)
         for twin in (copy.deepcopy(line), pickle.loads(pickle.dumps(line))):
             assert twin == line and hash(twin) == key
             assert str(twin) == str(line) and on_line(twin.base, line)
