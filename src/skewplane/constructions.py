@@ -34,10 +34,7 @@ from typing import Optional, Tuple
 from .errors import (
     AuxOnBaseLineError,
     CoincidentPointsError,
-    DegenerateConstructionError,
-    IdenticalLinesError,
     InvalidConfigurationError,
-    ParallelLinesError,
     PointOffBaseLineError,
 )
 from .plane import (
@@ -128,18 +125,20 @@ def _check_construction_inputs(frame: LineFrame, a: PlanePoint, b: PlanePoint,
 
 def trace_addition(frame: LineFrame, a: PlanePoint, b: PlanePoint,
                    aux: PlanePoint) -> ConstructionTrace:
-    """Run the three-step addition construction, keeping every step."""
+    """Run the three-step addition construction, keeping every step.
+
+    No step can degenerate once the inputs pass: aux is off the frame
+    line, so O-aux and B-aux each join two distinct points and cross the
+    frame line, and so do their parallels l2 and l3, which meet l1 and
+    the frame line, both parallel to it, in one point each."""
     _check_construction_inputs(frame, a, b, aux)
-    try:
-        o_aux = line_through(frame.origin, aux)
-        b_aux = line_through(b, aux)
-        l1 = parallel_through(aux, frame.line)
-        l2 = parallel_through(a, o_aux)
-        p1 = intersect(l1, l2)
-        l3 = parallel_through(p1, b_aux)
-        result = intersect(l3, frame.line)
-    except (ParallelLinesError, IdenticalLinesError, CoincidentPointsError) as exc:
-        raise DegenerateConstructionError(f"addition construction degenerated: {exc}") from exc
+    o_aux = line_through(frame.origin, aux)
+    b_aux = line_through(b, aux)
+    l1 = parallel_through(aux, frame.line)
+    l2 = parallel_through(a, o_aux)
+    p1 = intersect(l1, l2)
+    l3 = parallel_through(p1, b_aux)
+    result = intersect(l3, frame.line)
     return ConstructionTrace(
         kind="add", frame=frame, a=a, b=b, aux=aux, p1=p1, result=result,
         lines=(("base", frame.line), ("O-aux", o_aux), ("step1", l1),
@@ -149,18 +148,21 @@ def trace_addition(frame: LineFrame, a: PlanePoint, b: PlanePoint,
 
 def trace_multiplication(frame: LineFrame, a: PlanePoint, b: PlanePoint,
                          aux: PlanePoint) -> ConstructionTrace:
-    """Run the three-step multiplication construction, keeping every step."""
+    """Run the three-step multiplication construction, keeping every step.
+
+    No step can degenerate once the inputs pass: aux is off the frame
+    line, so I-aux, O-aux and B-aux each join two distinct points and
+    cross the frame line, and so does l3, the parallel to B-aux, which
+    meets it in one point.  l1, the parallel to I-aux, is not parallel to
+    O-aux, which meets I-aux only at aux, so the two meet in one point."""
     _check_construction_inputs(frame, a, b, aux)
-    try:
-        i_aux = line_through(frame.unit, aux)
-        o_aux = line_through(frame.origin, aux)
-        b_aux = line_through(b, aux)
-        l1 = parallel_through(a, i_aux)
-        p1 = intersect(l1, o_aux)
-        l3 = parallel_through(p1, b_aux)
-        result = intersect(l3, frame.line)
-    except (ParallelLinesError, IdenticalLinesError, CoincidentPointsError) as exc:
-        raise DegenerateConstructionError(f"multiplication construction degenerated: {exc}") from exc
+    i_aux = line_through(frame.unit, aux)
+    o_aux = line_through(frame.origin, aux)
+    b_aux = line_through(b, aux)
+    l1 = parallel_through(a, i_aux)
+    p1 = intersect(l1, o_aux)
+    l3 = parallel_through(p1, b_aux)
+    result = intersect(l3, frame.line)
     return ConstructionTrace(
         kind="mul", frame=frame, a=a, b=b, aux=aux, p1=p1, result=result,
         lines=(("base", frame.line), ("I-aux", i_aux), ("step1", l1),

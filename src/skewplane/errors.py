@@ -52,10 +52,6 @@ class AuxOnBaseLineError(DegenerateInputError):
     """The auxiliary construction point must lie off the base line."""
 
 
-class DegenerateConstructionError(DegenerateInputError):
-    """An intermediate step of a geometric construction degenerated."""
-
-
 class InvalidConfigurationError(DegenerateInputError):
     """A Desargues configuration violates the axiom's hypotheses."""
 

@@ -38,9 +38,11 @@ P (X-S)^-1 Q takes every value but 0: families B, C and D take every
 value but ``omitted_value(base)`` = omega, and w != omega is attained at
 Z = S + Q (w-omega)^-1 P.  Family A attains w exactly when
 psi = g g - t g + n (t = w + conj(w), n = w conj(w)) is nonzero, or w is
-not central and equals h = (C-D)^-1 conj(g) (C-D): it omits g's
-conjugacy class but h for a non-real quaternion g, and g alone for a
-real g or a commutative field.  A's constants carry g g for the psi test.
+not central and equals h = (C-D)^-1 conj(g) (C-D).  A's constants carry
+g's trace t_g = g + conj(g) and norm n_g = g conj(g), and psi vanishes
+exactly where t = t_g and n = n_g: so A omits [g] but h, where [g] is
+the class of the values with g's real part and norm, g's conjugacy
+class; for a real g or a commutative field [g] is g alone, and h = g.
 
 The inverse map, the cross-ratio with the contents of the two final
 slots swapped, is the map of the swapped base: A and B on (p0, p2, p1),
@@ -68,7 +70,8 @@ README gives each runner's scalar-op counts, as the tests pin them.
 Verification never asserts set closure; each report records,
 informationally, how many of the s_i (or p_i) the map attains again, by
 image membership from the same constants: one comparison with omega
-(B, C, D) or one psi test (A) per value, as ``preimage`` does.  The
+(B, C, D), or for A one sum compared with t_g (and, where it matches, one
+product compared with n_g) per value, as ``preimage`` does.  The
 record's ``undecided`` count, always 0, only keeps the note's format.
 """
 
@@ -112,14 +115,15 @@ class CrossRatioBase(Immutable, Record):
     element of the field.  The family and points decide ``==``, the hash,
     ``repr`` and ``str``; the rest derive from them at construction: the
     singular, zero and unit points and the X-free constants of the map
-    and of its inverse map (``_factors``).
+    and of its inverse map (``_factors``).  ``str`` is formatted once, on
+    first use, and kept: every report on the base prints it.
     """
 
-    __slots__ = ("family", "points", "_singular", "_zero", "_unit",
+    __slots__ = ("family", "points", "_str", "_singular", "_zero", "_unit",
                  "_constants", "_inverse_constants")
 
     def __init__(self, family: Family, points: Tuple[SkewScalar, SkewScalar, SkewScalar]):
-        self._init(family, points)
+        self._init(family, points, None)  # the error below prints the base
         if len(self.points) != 3:
             raise InvalidBaseError("a cross-ratio base fixes exactly three points")
         p, q, r = self.points
@@ -128,7 +132,7 @@ class CrossRatioBase(Immutable, Record):
         for point in self.points:
             if point.is_zero():
                 raise InvalidBaseError("base points must differ from the zero point")
-        self._init(family, points, points[_SINGULAR_INDEX[family]],
+        self._init(family, points, None, points[_SINGULAR_INDEX[family]],
                    points[_ZERO_INDEX[family]], points[_UNIT_INDEX[family]],
                    *_factors(self))
 
@@ -145,7 +149,10 @@ class CrossRatioBase(Immutable, Record):
         return tuple(slots)
 
     def __str__(self) -> str:
-        return f"family {self.family.value} base ({', '.join(map(str, self.points))})"
+        if self._str is None:
+            object.__setattr__(self, "_str", f"family {self.family.value} base "
+                                             f"({', '.join(map(str, self.points))})")
+        return self._str
 
 
 def singular_point(base: CrossRatioBase) -> SkewScalar:
@@ -198,14 +205,15 @@ def inverse_value(base: CrossRatioBase, x: SkewScalar) -> SkewScalar:
 
 def _factors(base: CrossRatioBase):
     """The X-free constants of the base's map and of its inverse map:
-    (g, g g) and (g^-1,), or normal forms (omega, P, Q) with P = None for
-    P = 1.  B and D take C's on the same points, and D's inverse map's are
-    C's own, not D's inverted back.  The base's constructor keeps the
-    pair; everything else reads it there."""
+    (g, t_g, n_g), g with its trace and norm, and (g^-1,), or normal forms
+    (omega, P, Q) with P = None for P = 1.  B and D take C's on the same
+    points, and D's inverse map's are C's own, not D's inverted back.  The
+    base's constructor keeps the pair; everything else reads it there."""
     p0, p1, p2 = base.points
     if base.family is Family.A:
         g = (p0 - p2) * (p0 - p1).inverse()
-        return (g, g * g), (g.inverse(),)
+        conj = g.conjugate()
+        return (g, g + conj, g * conj), (g.inverse(),)
     omega, q = (p0 - p2).inverse() * (p1 - p2), p1 - p0
     c = (omega, omega, q)
     if base.family is Family.D:
@@ -379,17 +387,21 @@ def _map_row(base: CrossRatioBase, samples: SampleSet,
 
 
 def _check(report: VerificationReport, name: str, samples: SampleSet, width: int,
-           holds: Callable[[int], bool], extra: str = "") -> None:
+           holds: Callable[[int], bool],
+           anchor: Optional[Tuple[str, SkewScalar]] = None) -> None:
     """Record whether holds(i) at every sample index i; a failure names the
-    ``width`` arguments from the first failing index on, cyclically."""
+    ``width`` arguments from the first failing index on, cyclically, then
+    the ``anchor`` (label, point), if any.  Only a failure is formatted."""
     args = samples.values
     count = len(args)
     for i in range(count):
         if not holds(i):
             counterexample = ", ".join(f"{label}={args[(i + j) % count]}"
                                        for j, label in enumerate("XYZ"[:width]))
+            if anchor is not None:
+                counterexample += ", {}={}".format(*anchor)
             report.results.append(IdentityResult(
-                name, i + 1, samples.rejections, False, counterexample + extra))
+                name, i + 1, samples.rejections, False, counterexample))
             return
     report.results.append(IdentityResult(name, count, samples.rejections, True))
 
@@ -412,7 +424,7 @@ def verify_addition_structure(base: CrossRatioBase,
            lambda i: s[i] == y[i] + x[i])
     zero_ok = zero_value.is_zero()
     _check(report, "zero element neutrality", samples, 1,
-           lambda i: zero_ok and x[i] + zero_value == x[i], f", zero point={zero_arg}")
+           lambda i: zero_ok and x[i] + zero_value == x[i], ("zero point", zero_arg))
 
     _record_closure(report, "closure of sums under the map", base, samples, s)
     return report
@@ -440,7 +452,7 @@ def verify_multiplicative_group(base: CrossRatioBase,
     unit_ok = u == one
     _check(report, "unit element two-sided neutrality", samples, 1,
            lambda i: unit_ok and x[i] * u == x[i] and u * x[i] == x[i],
-           f", unit point={unit_arg}")
+           ("unit point", unit_arg))
 
     inverse_of = _map_function(base, inverse=True)
 
@@ -492,27 +504,33 @@ def _attainment(base: CrossRatioBase) -> Callable[[SkewScalar], bool]:
     """The membership test of the base's image: value -> attained or not.
 
     Its constants come from the base's own, so a caller deciding many
-    values pays one comparison (families B, C, D) or one psi test
-    (family A) per value.
+    values pays one comparison (families B, C, D), or for family A one
+    sum and one comparison, and one product and comparison more where
+    the trace matches g's.
 
     Family A: evaluate(base, Z) = w means T(Z) := g Z - Z w = g C - D w
     =: c, and T'(T(Z)) = psi Z for T'(Y) = g Y - Y conj(w) (the
-    characteristic identity of w).  Nonzero psi: a unique Z, never D
-    (g D = g C would force C = D), attained.  Zero psi at a central w:
-    w = g (psi = (g - w)^2), not attained (g (X-C) = g (X-D) forces C = D).
-    Zero psi at a non-central w: image(T) = ker(T'), so w is attained
-    exactly when g c = c conj(w), that is at w = h (Johnson, Bull. AMS
-    50, 1944; Janovska and Opfer, Mitt. Math. Ges. Hamburg 27, 2008).
+    characteristic identity of w), psi = g g - t g + n with t = w + conj(w)
+    and n = w conj(w) central.  As g g = t_g g - n_g, psi is
+    (t_g - t) g + (n - n_g), which vanishes exactly when t = t_g and
+    n = n_g: for a non-real g as 1 and g are independent over the
+    rationals, and for a real g or on a commutative field as
+    psi = (g - w)(g - conj(w)) vanishes only at w = g.  Nonzero psi: a unique Z, never D (g D = g C
+    would force C = D), attained.  Zero psi at a central w: w = g, not
+    attained (g (X-C) = g (X-D) forces C = D).  Zero psi at a non-central
+    w: image(T) = ker(T'), so w is attained exactly when g c = c conj(w),
+    that is at w = h (Johnson, Bull. AMS 50, 1944; Janovska and Opfer,
+    Mitt. Math. Ges. Hamburg 27, 2008).
     """
     if base.family is not Family.A:
         omega = base._constants[0]
         return lambda w: w != omega
-    g, gg = base._constants
+    g, trace, norm = base._constants
     _, c_, d_ = base.points
 
     def attained(w: SkewScalar) -> bool:
         conj = w.conjugate()
-        if not (gg - (w + conj) * g + w * conj).is_zero():
+        if not (w + conj == trace and w * conj == norm):
             return True
         return w != conj and w == (c_ - d_).inverse() * g.conjugate() * (c_ - d_)
     return attained
@@ -540,13 +558,14 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
 
 
 def _witness_family_a(base: CrossRatioBase, w: SkewScalar) -> SkewScalar:
-    """Family A, c = g C - D w: Z = psi^-1 (g c - c conj(w)), or where psi
-    vanishes (so g c = c conj(w)) Z = c (conj(w) - w)^-1."""
-    g, gg = base._constants
+    """Family A, c = g C - D w: Z = psi^-1 (g c - c conj(w)) with
+    psi = (t_g - t) g + (n - n_g) (``_attainment``), or where psi vanishes
+    (so g c = c conj(w)) Z = c (conj(w) - w)^-1."""
+    g, trace, norm = base._constants
     _, c_, d_ = base.points
     c = g * c_ - d_ * w
     conj = w.conjugate()
-    psi = gg - (w + conj) * g + w * conj
+    psi = (trace - (w + conj)) * g + (w * conj - norm)
     if psi.is_zero():
         return c * (conj - w).inverse()
     return psi.inverse() * (g * c - c * conj)

@@ -97,7 +97,8 @@ class Immutable:
 
     Constructors and arithmetic write their slots past the guard, through
     the slot descriptors' ``__set__`` or ``object.__setattr__``; copy and
-    pickle restore them through ``__setstate__``.
+    pickle, with every protocol, take the slots by ``__getstate__`` and
+    restore them through ``__setstate__``.
     """
 
     __slots__ = ()
@@ -106,6 +107,14 @@ class Immutable:
         raise AttributeError(f"{self.__class__.__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __getstate__(self):
+        """``(None, {slot: value})`` over the set slots of the class and
+        its bases, the state of a slotted object; protocols 0 and 1 pickle
+        a slotted class only through its own ``__getstate__``."""
+        return None, {name: getattr(self, name) for cls in type(self).__mro__
+                      for name in cls.__dict__.get("__slots__", ())
+                      if hasattr(self, name)}
 
     def __setstate__(self, state):
         for name, value in state[1].items():
@@ -122,6 +131,8 @@ class Record:
     """
 
     __slots__ = ()
+
+    __getstate__ = Immutable.__getstate__
 
     def _init(self, *values) -> None:
         """Write a frozen record's fields, past :class:`Immutable`'s guard."""

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import quaternions, rationals
+from conftest import nonzero_quaternions, quaternions, rationals
 
 import skewplane.maps as maps_module
 from skewplane.errors import (
@@ -49,6 +49,9 @@ from skewplane.scalars import (
     RationalQuaternion,
 )
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+#: A row of the README's op table: the step, then A's to D's counts.
+README_OP_ROW = re.compile(r"\s*\| `([^`]+)` \|" + r" (\d+/\d+/\d+/\d+) \|" * 4 + r"\s*$")
 #: The closure note as the benchmark and the CLI session checks parse it.
 CLOSURE_NOTE = re.compile(r"attained (\d+), no preimage (\d+), undecided (\d+)")
 
@@ -341,8 +344,8 @@ class TestAnharmonicGroup:
         for points in permutations(nonzero, 3):
             a, b, c, d = (CrossRatioBase(family, points) for family in Family)
             p0, p1, p2 = points
-            (g, gg), inverse_constants = maps_module._factors(a)
-            assert gg == g * g and inverse_constants == (g.inverse(),)
+            (g, trace, norm), inverse_constants = maps_module._factors(a)
+            assert (trace, norm) == (g + g, g * g) and inverse_constants == (g.inverse(),)
             assert CrossRatioBase(Family.A, (p0, p2, p1))._constants[0] == g.inverse()
             assert omitted_value(b) == one - omitted_value(c)
             assert omitted_value(d) == omitted_value(c).inverse()
@@ -404,6 +407,29 @@ def count_quaternion_ops(monkeypatch):
     return counts
 
 
+#: What building a quaternion base and one runner call on TestOpCounts'
+#: 3 samples cost, per family A, B, C, D, as (subtractions, inverses,
+#: products, sums); the README's op table prints the same rows.
+OP_COUNTS = {
+    "CrossRatioBase(family, points)":
+        ((2, 2, 2, 1), (3, 2, 3, 1), (3, 2, 2, 0), (3, 2, 2, 0)),
+    "verify_addition_structure":
+        ((10, 5, 9, 18), (7, 5, 9, 18), (7, 5, 9, 18), (7, 5, 6, 18)),
+    "verify_distributive":
+        ((6, 3, 18, 9), (3, 3, 18, 12), (3, 3, 18, 12), (3, 3, 15, 12)),
+    "verify_multiplicative_group":
+        ((16, 8, 36, 3), (10, 8, 36, 6), (10, 8, 33, 6), (10, 8, 33, 6)),
+}
+OPERATORS = ("__sub__", "inverse", "__mul__", "__add__")
+
+
+def pinned(step, family):
+    """OP_COUNTS' row for the step and family as the operator counts of
+    count_quaternion_ops, which has no entry for an operator not called."""
+    row = OP_COUNTS[step]["ABCD".index(family.value)]
+    return {name: n for name, n in zip(OPERATORS, row) if n}
+
+
 class TestOpCounts:
     POINTS = (RationalQuaternion(1, 1), RationalQuaternion(0, 0, 1, Fraction(-1, 2)),
               RationalQuaternion(2, 0, 0, Fraction(1, 3)))
@@ -412,19 +438,16 @@ class TestOpCounts:
                          RationalQuaternion(-1, 2, 0, 0)))
 
     # Construction: the X-free constants of the map and of its inverse map,
-    # once per base (A: 2 sub, 1 inverse, 1 mul for g, 1 mul for g g and
-    # 1 inverse for g^-1; C: 3 sub, 1 inverse, 1 mul for omega and Q, then
-    # 1 inverse, 1 mul for Q omega^-1, its P = omega giving P' = 1; B: C's,
-    # 1 add for 1 - omega, which is (-omega) + 1, its -Q being a negation, then
-    # 1 inverse, 2 mul for omega^-1 P and Q omega^-1; D: C's and their
-    # inversion, 1 inverse and 1 mul for -Q omega^-1, its P = 1 being no
-    # product, its inverse map's constants being C's own).
+    # once per base (A: 2 sub, 1 inverse, 1 mul for g, 1 add for its trace
+    # g + conj(g), 1 mul for its norm g conj(g), conjugation being no
+    # operator, and 1 inverse for g^-1; C: 3 sub, 1 inverse, 1 mul for omega
+    # and Q, then 1 inverse, 1 mul for Q omega^-1, its P = omega giving
+    # P' = 1; B: C's, 1 add for 1 - omega, which is (-omega) + 1, its -Q
+    # being a negation, then 1 inverse, 2 mul for omega^-1 P and Q omega^-1;
+    # D: C's and their inversion, 1 inverse and 1 mul for -Q omega^-1, its
+    # P = 1 being no product, its inverse map's constants being C's own).
     @pytest.mark.parametrize("family, construction", [
-        (Family.A, {"__sub__": 2, "inverse": 2, "__mul__": 2}),
-        (Family.B, {"__sub__": 3, "inverse": 2, "__mul__": 3, "__add__": 1}),
-        (Family.C, {"__sub__": 3, "inverse": 2, "__mul__": 2}),
-        (Family.D, {"__sub__": 3, "inverse": 2, "__mul__": 2}),
-    ])
+        (family, pinned("CrossRatioBase(family, points)", family)) for family in Family])
     def test_construction_computes_the_constants(self, monkeypatch, family, construction):
         counts = count_quaternion_ops(monkeypatch)
         CrossRatioBase(family, self.POINTS)
@@ -434,13 +457,14 @@ class TestOpCounts:
     # sampled values (A: 2 sub, 1 inverse, 2 mul each; B, C: 1 sub,
     # 1 inverse, 2 mul, 1 add each; D: 1 sub, 1 inverse, 1 mul, 1 add
     # each).  Each sum s_i = x_i + x_i+1 and product p_i = x_i x_i+1 is
-    # computed once.
+    # computed once.  The closure record decides each of three values
+    # through the attainment test: for A, 1 add for the value's trace
+    # w + conj(w), and where that equals g's trace 1 mul more for its norm,
+    # which no pinned value reaches; for B, C, D nothing (omega is given).
     # Addition: the zero point by evaluate (4 sub, 2 inverse, 3 mul); the
     # sums 3 add; associativity 6 add, commutativity 3, zero neutrality 3;
-    # the closure record on the sums, through the attainment test: for A
-    # three psi (2 mul, 2 add, 1 sub each), g g being given, for B, C, D
-    # none (omega is given).  So A: 6 + 4 + 3 = 13 sub, 3 + 2 = 5 inverse,
-    # 6 + 3 + 6 = 15 mul, 15 + 6 = 21 add; B, C: 3 + 4 = 7 sub, 5 inverse,
+    # the closure record.  So A: 6 + 4 = 10 sub, 3 + 2 = 5 inverse,
+    # 6 + 3 = 9 mul, 3 + 12 + 3 = 18 add; B, C: 3 + 4 = 7 sub, 5 inverse,
     # 6 + 3 = 9 mul, 3 + 15 = 18 add; D: 7 sub, 5 inverse, 3 + 3 = 6 mul,
     # 18 add.
     # Distributive: the sums 3 add, the products x_i x_i+1 and x_i x_i+2
@@ -452,22 +476,14 @@ class TestOpCounts:
     # values from the inverse map's constants (A like A's values; B: 1 sub,
     # 1 inverse, 2 mul, 1 add each, its P' = omega^-1 P; C: like D's values,
     # its P' = 1; D: like C's values); the inverse law 6 mul; the closure
-    # record on the products, through the attainment test.  So A:
-    # 6 + 4 + 6 + 3 = 19 sub, 3 + 2 + 3 = 8 inverse,
-    # 6 + 3 + 15 + 6 + 6 + 6 = 42 mul, 6 add; B: 3 + 4 + 3 = 10 sub,
-    # 8 inverse, 6 + 3 + 15 + 6 + 6 = 36 mul, 3 + 3 = 6 add; C and D:
-    # 10 sub, 8 inverse, 6 add, and 6 + 3 + 15 + 3 + 6 (C) or
-    # 3 + 3 + 15 + 6 + 6 (D) = 33 mul.
+    # record on the products.  So A: 6 + 4 + 6 = 16 sub,
+    # 3 + 2 + 3 = 8 inverse, 6 + 3 + 15 + 6 + 6 = 36 mul, 3 add;
+    # B: 3 + 4 + 3 = 10 sub, 8 inverse, 6 + 3 + 15 + 6 + 6 = 36 mul,
+    # 3 + 3 = 6 add; C and D: 10 sub, 8 inverse, 6 add, and
+    # 6 + 3 + 15 + 3 + 6 (C) or 3 + 3 + 15 + 6 + 6 (D) = 33 mul.
     @pytest.mark.parametrize("family, distributive, group", [
-        (Family.A, {"__sub__": 6, "inverse": 3, "__mul__": 18, "__add__": 9},
-         {"__sub__": 19, "inverse": 8, "__mul__": 42, "__add__": 6}),
-        (Family.B, {"__sub__": 3, "inverse": 3, "__mul__": 18, "__add__": 12},
-         {"__sub__": 10, "inverse": 8, "__mul__": 36, "__add__": 6}),
-        (Family.C, {"__sub__": 3, "inverse": 3, "__mul__": 18, "__add__": 12},
-         {"__sub__": 10, "inverse": 8, "__mul__": 33, "__add__": 6}),
-        (Family.D, {"__sub__": 3, "inverse": 3, "__mul__": 15, "__add__": 12},
-         {"__sub__": 10, "inverse": 8, "__mul__": 33, "__add__": 6}),
-    ])
+        (family, pinned("verify_distributive", family),
+         pinned("verify_multiplicative_group", family)) for family in Family])
     def test_each_value_pays_for_the_free_point_only(self, monkeypatch, family,
                                                      distributive, group):
         base = CrossRatioBase(family, self.POINTS)
@@ -479,16 +495,35 @@ class TestOpCounts:
         assert dict(counts) == group
 
     @pytest.mark.parametrize("family, addition", [
-        (Family.A, {"__sub__": 13, "inverse": 5, "__mul__": 15, "__add__": 21}),
-        (Family.B, {"__sub__": 7, "inverse": 5, "__mul__": 9, "__add__": 18}),
-        (Family.C, {"__sub__": 7, "inverse": 5, "__mul__": 9, "__add__": 18}),
-        (Family.D, {"__sub__": 7, "inverse": 5, "__mul__": 6, "__add__": 18}),
-    ])
+        (family, pinned("verify_addition_structure", family)) for family in Family])
     def test_addition_structure_shares_its_sums(self, monkeypatch, family, addition):
         base = CrossRatioBase(family, self.POINTS)
         counts = count_quaternion_ops(monkeypatch)
         assert verify_addition_structure(base, self.SAMPLES).passed
         assert dict(counts) == addition
+
+    def test_family_a_norm_is_taken_only_where_the_trace_matches(self, monkeypatch):
+        base = CrossRatioBase(Family.A, self.POINTS)
+        g = base._constants[0]
+        attained = maps_module._attainment(base)
+        counts = count_quaternion_ops(monkeypatch)
+        assert attained(self.SAMPLES.values[0])
+        assert dict(counts) == {"__add__": 1}
+        counts.clear()
+        # g's own trace matches: 1 mul for its norm, then h = (C-D)^-1
+        # conj(g) (C-D), 2 sub, 1 inverse and 2 mul, which is not g here
+        assert not attained(g)
+        assert dict(counts) == {"__add__": 1, "__mul__": 3, "__sub__": 2, "inverse": 1}
+
+    def test_readme_table_prints_the_pins(self):
+        text = README.read_text(encoding="utf-8")
+        rows = {}
+        for line in text.splitlines():
+            match = README_OP_ROW.match(line)
+            if match:
+                rows[match[1]] = tuple(tuple(int(n) for n in cell.split("/"))
+                                       for cell in match.groups()[1:])
+        assert rows == OP_COUNTS
 
 
 class TestSampling:
@@ -661,6 +696,87 @@ class TestFamilyAQuaternionImage:
                     assert witness is None
                 decided[status] += 1
         assert decided[ATTAINED] and decided[NOT_ATTAINED]
+
+
+def psi_route(base, w):
+    """Family A's image test by psi = g g - t g + n itself: attained where
+    psi is nonzero, or at a non-central w equal to h."""
+    b_, c_, d_ = base.points
+    g = (b_ - d_) * (b_ - c_).inverse()
+    conj = w.conjugate()
+    if not (g * g - (w + conj) * g + w * conj).is_zero():
+        return True
+    return w != conj and w == (c_ - d_).inverse() * g.conjugate() * (c_ - d_)
+
+
+def trace_norm_branch(base, w):
+    """Which step of the trace and norm test decides w."""
+    g, trace, norm = base._constants
+    _, c_, d_ = base.points
+    conj = w.conjugate()
+    if w + conj != trace:
+        return "trace"
+    if w * conj != norm:
+        return "norm"
+    if w == conj:
+        return "central"
+    return "h" if w == (c_ - d_).inverse() * g.conjugate() * (c_ - d_) else "other"
+
+
+#: Three distinct nonzero quaternions, a family A base.
+QUATERNION_BASES = st.lists(nonzero_quaternions(), min_size=3, max_size=3,
+                            unique=True).map(tuple)
+
+
+class TestFamilyATraceNormTest:
+    """Family A's image test, two comparisons with g's trace and norm,
+    decides what the psi route decides."""
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_every_gfp_base_and_value(self, p):
+        field = PrimeField(p)
+        elements = list(field.elements())
+        nonzero = [x for x in elements if not x.is_zero()]
+        for points in permutations(nonzero, 3):
+            base = CrossRatioBase(Family.A, points)
+            attained = maps_module._attainment(base)
+            image = {evaluate(base, x) for x in elements if x != singular_point(base)}
+            for w in elements:
+                assert attained(w) == psi_route(base, w) == (w in image), (base, w)
+
+    @given(QUATERNION_BASES, nonzero_quaternions())
+    @example((RationalQuaternion(3), RationalQuaternion(1), RationalQuaternion(5)),
+             RationalQuaternion(1, 1))  # g = 1/2, real
+    @example(IJK_QUADRUPLE[1:], RationalQuaternion(1, 1))  # h = g
+    def test_quaternion_bases(self, points, u):
+        base = CrossRatioBase(Family.A, points)
+        g = base._constants[0]
+        _, c_, d_ = points
+        h = (c_ - d_).inverse() * g.conjugate() * (c_ - d_)
+        imaginary = u - u.conjugate()
+        # g + v and g + 2v share g's trace, and one of them differs from
+        # its norm unless v = 0
+        targets = [g, h, u * g * u.inverse(), g + 1, g + imaginary, g + 2 * imaginary,
+                   *(v * g * v.inverse() for v in (1 + RationalQuaternion(0, 1),
+                                                   1 + RationalQuaternion(0, 0, 1),
+                                                   1 + RationalQuaternion(0, 0, 0, 1)))]
+        attained = maps_module._attainment(base)
+        branches = set()
+        for w in targets:
+            branches.add(trace_norm_branch(base, w))
+            assert attained(w) == psi_route(base, w) == solvable(g, w, g * c_ - d_ * w), w
+            status, witness = preimage(base, w)
+            assert status == (ATTAINED if attained(w) else NOT_ATTAINED)
+            if status == ATTAINED:
+                assert evaluate(base, witness) == w
+        assert "trace" in branches
+        assert ("norm" in branches) != imaginary.is_zero()
+        if g == g.conjugate():
+            assert "central" in branches
+        else:
+            # 1 + i, 1 + j and 1 + k do not all commute with g: one of
+            # g and its conjugates by them is not h
+            assert {"h", "other"} <= branches
 
 
 class TestOmittedValue:
@@ -905,7 +1021,7 @@ class TestBaseValue:
     """A base is its family and points: the derived slots change neither
     its printed forms nor its equality, and travel with its copies."""
 
-    DERIVED = ("_singular", "_zero", "_unit", "_constants", "_inverse_constants")
+    DERIVED = ("_str", "_singular", "_zero", "_unit", "_constants", "_inverse_constants")
     POINTS_REPR = {
         "rational": "(Rational(3), Rational(1), Rational(5))",
         "gfp7": "(PrimeFieldElement(1, 7), PrimeFieldElement(3, 7), PrimeFieldElement(6, 7))",
@@ -931,6 +1047,7 @@ class TestBaseValue:
             object.__setattr__(altered, name, None)
         for twin in (CrossRatioBase(family, base.points), altered):
             assert twin == base and hash(twin) == hash(base)
+            assert twin._str is None and str(twin) == str(base) == twin._str
         assert hash(base) == hash((family, base.points))
         for other in Family:
             if other is not family:

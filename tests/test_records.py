@@ -9,6 +9,7 @@ records and none for the mutable ones, and the exact ``repr``.
 
 import copy
 import pickle
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +27,7 @@ from skewplane.errors import (
     InvalidBaseError,
     InvalidConfigurationError,
 )
+from skewplane.expressions import Add, Literal, Neg
 from skewplane.maps import (
     CrossRatioBase,
     Family,
@@ -34,7 +36,7 @@ from skewplane.maps import (
     VerificationReport,
 )
 from skewplane.plane import PlanePoint
-from skewplane.scalars import PrimeField, Rational, RationalField
+from skewplane.scalars import PrimeField, Rational, RationalField, RationalQuaternion
 from skewplane.selftest import SuiteResult
 
 
@@ -180,6 +182,34 @@ def test_copy_and_pickle(record, clone):
         with pytest.raises(AttributeError):
             setattr(twin, record.names[0], record.values[0])
     assert twin == record.obj
+
+
+#: One value of every other slotted class: the three scalar backends, a
+#: canonical line, a line frame and an expression node.
+OTHER_SLOTTED = {
+    "LineFrame": _FRAME,
+    "Rational": Rational(-3, 4),
+    "PrimeFieldElement": PrimeField(7).from_int(5),
+    "RationalQuaternion": RationalQuaternion(Fraction(1, 2), -3, Fraction(5, 6)),
+    "PlaneLine": _TRACE.lines[-1][1],
+    "Node": Add(Literal(Rational(1)), Neg(Literal(Rational(2, 3)))),
+}
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("name", sorted(RECORDS) + sorted(OTHER_SLOTTED))
+def test_pickle_with_every_protocol(name, protocol):
+    if name in RECORDS:
+        cls, _, values, _, _ = RECORDS[name]
+        value = cls(*values)
+    else:
+        value = OTHER_SLOTTED[name]
+    str(value)  # a base keeps its printed form, and its pickle carries it
+    twin = pickle.loads(pickle.dumps(value, protocol=protocol))
+    assert type(twin) is type(value)
+    assert twin == value and repr(twin) == repr(value) and str(twin) == str(value)
+    slots = [slot for cls in type(value).__mro__ for slot in cls.__dict__.get("__slots__", ())]
+    assert slots and all(getattr(twin, slot) == getattr(value, slot) for slot in slots)
 
 
 def test_traces_on_equal_frames_are_equal():
