@@ -38,9 +38,9 @@ from .errors import (
     PointOffBaseLineError,
 )
 from .plane import (
+    Direction,
     PlaneLine,
     PlanePoint,
-    collinear,
     intersect,
     is_parallel,
     line_through,
@@ -220,6 +220,10 @@ def validate_desargues_config(cfg: DesarguesConfig) -> Tuple[PlaneLine, PlaneLin
         ac, apcp = line_through(cfg.a, cfg.c), line_through(cfg.ap, cfg.cp)
     except CoincidentPointsError as exc:
         raise InvalidConfigurationError(f"coincident labeled points: {exc}") from exc
+    # A'B'C' needs no test of its own: were it collinear, the side checks
+    # below would fail, as AB || A'B' = B'C' || BC would put C on AB
+    if on_line(cfg.c, ab):
+        raise InvalidConfigurationError("vertices A, B, C are collinear")
     names = ("AA'", "BB'", "CC'")
     for i in range(3):
         for j in range(i + 1, 3):
@@ -250,16 +254,54 @@ def check_desargues(cfg: DesarguesConfig) -> bool:
     return is_parallel(*validate_desargues_config(cfg))
 
 
+def _translated(a: PlanePoint, b: PlanePoint, c: PlanePoint, ab: PlaneLine,
+                shift: Direction) -> Optional[DesarguesConfig]:
+    """Triangle ABC moved by the nonzero ``shift``, or None when a side is
+    parallel to the shift: a side through a vertex V is iff V's image
+    lies on it, so A' tests AB and AC, and B' tests BC."""
+    ap, bp = a.translate(shift), b.translate(shift)
+    if on_line(ap, ab) or on_line(ap, line_through(a, c)) or on_line(bp, line_through(b, c)):
+        return None
+    return DesarguesConfig(a, b, c, ap, bp, c.translate(shift), PARALLEL)
+
+
+def _dilated(a: PlanePoint, b: PlanePoint, c: PlanePoint, ab: PlaneLine,
+             center: PlanePoint, scale: SkewScalar) -> Optional[DesarguesConfig]:
+    """Triangle ABC dilated from ``center`` by ``scale`` not in {0, 1}, or
+    None when the center lies on a side line."""
+    if (on_line(center, ab) or on_line(center, line_through(a, c))
+            or on_line(center, line_through(b, c))):
+        return None
+
+    def dilate(p: PlanePoint) -> PlanePoint:
+        return center.translate(scale_direction(scale, center.displacement_to(p)))
+
+    return DesarguesConfig(a, b, c, dilate(a), dilate(b), dilate(c), CONCURRENT,
+                           center=center)
+
+
 def generate_desargues_config(field: ScalarField, variant: str,
                               seed: int) -> DesarguesConfig:
     """A pseudo-random configuration satisfying every hypothesis exactly.
 
     Built by transformation rather than rejection over raw sextuples: a
-    random triangle is translated (parallel variant) or dilated from a
-    center by a left scalar not in {0, 1} (concurrent variant), which
-    makes the two parallel-side hypotheses hold by construction.  The
-    remaining side conditions are rejection-sampled.  Deterministic for
-    a given seed.
+    random triangle is translated by a nonzero shift s (parallel variant)
+    or dilated from a center P by a left scalar k not in {0, 1} (concurrent
+    variant), which makes the two parallel-side hypotheses hold by
+    construction.  What the transformation can still break is decided in
+    closed form from the triangle's side lines, with the same verdict as
+    ``validate_desargues_config``:
+
+    * s is rejected iff some side is parallel to s.  A translation makes
+      every joining line parallel to s, and a side equals its image, as
+      the joining lines through its ends do, iff it is parallel to s.
+    * P is rejected iff it lies on some side line, a vertex included.  A
+      dilation makes AA' the line PA, and a side equals its image, as the
+      joining lines through its ends do, iff P lies on it.
+    * k*(dx, dy) has the canonical direction of (dx, dy) under the left
+      action, so both hold over the quaternions too.
+
+    Deterministic for a given seed.
     """
     if variant not in (PARALLEL, CONCURRENT):
         raise InvalidConfigurationError(f"unknown variant {variant!r}")
@@ -270,28 +312,22 @@ def generate_desargues_config(field: ScalarField, variant: str,
 
     for _ in range(10_000):
         a, b, c = random_point(), random_point(), random_point()
-        if collinear(a, b, c):
+        if a == b:
+            continue
+        ab = line_through(a, b)
+        if on_line(c, ab):
             continue
         if variant == PARALLEL:
             shift = (field.random_element(rng), field.random_element(rng))
             if shift[0].is_zero() and shift[1].is_zero():
                 continue
-            cfg = DesarguesConfig(a, b, c, a.translate(shift), b.translate(shift),
-                                  c.translate(shift), PARALLEL)
+            cfg = _translated(a, b, c, ab, shift)
         else:
             center = random_point()
             scale = field.random_element(rng)
             if scale.is_zero() or scale == field.one():
                 continue
-
-            def dilate(p: PlanePoint) -> PlanePoint:
-                return center.translate(scale_direction(scale, center.displacement_to(p)))
-
-            cfg = DesarguesConfig(a, b, c, dilate(a), dilate(b), dilate(c),
-                                  CONCURRENT, center=center)
-        try:
-            validate_desargues_config(cfg)
-        except InvalidConfigurationError:
-            continue
-        return cfg
+            cfg = _dilated(a, b, c, ab, center, scale)
+        if cfg is not None:
+            return cfg
     raise RuntimeError("could not generate a valid configuration")  # pragma: no cover

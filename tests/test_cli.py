@@ -90,6 +90,17 @@ C'=(3,3)
 variant=parallel
 """
 
+#: Every hypothesis but the triangle holds: A, B, C lie on y = 0.
+COLLINEAR_CONFIG = """\
+A=(0,0)
+B=(1,0)
+C=(2,0)
+A'=(0,1)
+B'=(1,1)
+C'=(2,1)
+variant=parallel
+"""
+
 BROKEN_HYPOTHESIS_CONFIG = """\
 A=(0,0)
 B=(1,0)
@@ -357,6 +368,14 @@ class TestDesarguesCommand:
         path.write_text(BROKEN_HYPOTHESIS_CONFIG)
         assert main(["desargues", "--config", str(path)]) == 3
         assert "InvalidConfigurationError" in capsys.readouterr().err
+
+    def test_collinear_triangle_is_singular(self, capsys, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(COLLINEAR_CONFIG)
+        assert main(["desargues", "--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error[InvalidConfigurationError]: "
+                                  "vertices A, B, C are collinear\n")
 
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "cfg.txt"

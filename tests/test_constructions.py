@@ -1,10 +1,14 @@
 """Geometric addition/multiplication, frames, and the Desargues checker."""
 
 import random
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
+from skewplane import constructions
 from skewplane.constructions import (
     CONCURRENT,
     PARALLEL,
@@ -14,6 +18,8 @@ from skewplane.constructions import (
     generate_desargues_config,
     geometric_add,
     geometric_mul,
+    _dilated,
+    _translated,
     trace_addition,
     trace_multiplication,
     validate_desargues_config,
@@ -24,13 +30,19 @@ from skewplane.errors import (
     InvalidConfigurationError,
     PointOffBaseLineError,
 )
-from skewplane.plane import PlanePoint
+from skewplane.plane import PlanePoint, line_through, on_line, scale_direction
 from skewplane.scalars import (
     PrimeField,
     QuaternionField,
     Rational,
     RationalField,
+    RationalQuaternion,
 )
+
+from conftest import quaternions, rationals
+
+#: One line per generated configuration, "<field> <variant> <seed>: <repr>".
+GENERATED_GOLDEN = Path(__file__).resolve().parent / "data" / "desargues_generated_golden.txt"
 
 
 def rp(x, y):
@@ -244,3 +256,173 @@ class TestDesargues:
             validate_desargues_config(cfg)
             assert cfg.variant == variant
             assert check_desargues(cfg) is True
+
+    def test_collinear_triangle_rejected(self):
+        # A, B, C on y = 0, moved to y = 1: every other hypothesis holds
+        cfg = DesarguesConfig(rp(0, 0), rp(1, 0), rp(2, 0),
+                              rp(0, 1), rp(1, 1), rp(2, 1), PARALLEL)
+        with pytest.raises(InvalidConfigurationError,
+                           match=r"^vertices A, B, C are collinear$"):
+            check_desargues(cfg)
+
+    def test_collinear_image_triangle_fails_a_side_check(self):
+        # A'B'C' on x + y = 2 under a triangle ABC: the joining lines meet
+        # at (0, 0) and AB || A'B' holds, BC || B'C' cannot
+        cfg = DesarguesConfig(rp(1, 0), rp(0, 1), rp(2, 2),
+                              rp(2, 0), rp(0, 2), rp(1, 1), CONCURRENT, center=rp(0, 0))
+        with pytest.raises(InvalidConfigurationError,
+                           match=r"^side BC is not parallel to B'C'$"):
+            check_desargues(cfg)
+
+
+def test_generated_configs_match_golden():
+    """Pins the generator's RNG stream and every configuration it returns."""
+    fields = (PrimeField(5), PrimeField(7), RationalField(), QuaternionField())
+    text = "".join(
+        f"{field.name} {variant} {seed}: {generate_desargues_config(field, variant, seed)!r}\n"
+        for field in fields for variant in (PARALLEL, CONCURRENT) for seed in range(25))
+    assert text == GENERATED_GOLDEN.read_text(encoding="utf-8")
+
+
+def is_valid(cfg):
+    try:
+        validate_desargues_config(cfg)
+    except InvalidConfigurationError:
+        return False
+    return True
+
+
+def assert_same_verdict(generated, cfg):
+    """The generator's closed form keeps exactly the candidates the full
+    validator accepts, and builds the same configuration from them."""
+    assert (generated is not None) == is_valid(cfg)
+    if generated is not None:
+        assert generated == cfg
+
+
+def translated(a, b, c, shift):
+    return DesarguesConfig(a, b, c, a.translate(shift), b.translate(shift),
+                           c.translate(shift), PARALLEL)
+
+
+def dilated(a, b, c, center, scale):
+    def dilate(p):
+        return PlanePoint(center.x + scale * (p.x - center.x),
+                          center.y + scale * (p.y - center.y))
+
+    return DesarguesConfig(a, b, c, dilate(a), dilate(b), dilate(c), CONCURRENT,
+                           center=center)
+
+
+def gf5_triangles():
+    """(A, B, C, AB) for A = (0, 0) and every B, C making a triangle with it."""
+    values = list(PrimeField(5).elements())
+    points = [PlanePoint(x, y) for x, y in product(values, values)]
+    a = points[0]
+    for b in points[1:]:
+        ab = line_through(a, b)
+        for c in points:
+            if not on_line(c, ab):
+                yield a, b, c, ab
+
+
+@st.composite
+def candidates(draw):
+    """A triangle with a shift and a dilation on one backend; the shift is
+    parallel to, and the center on, a side chosen at random or none."""
+    scalar = draw(st.sampled_from([rationals(4, 3), quaternions(2, 2)]))
+    a, b, c = (PlanePoint(draw(scalar), draw(scalar)) for _ in range(3))
+    sides = {"AB": (a, b), "AC": (a, c), "BC": (b, c)}
+    side = draw(st.sampled_from([None, *sides]))
+    t = draw(scalar)
+    if side is None:
+        shift = (draw(scalar), draw(scalar))
+        center = PlanePoint(draw(scalar), draw(scalar))
+    else:
+        p, q = sides[side]
+        shift = scale_direction(t, p.displacement_to(q))
+        center = p.translate(shift)
+    scale = draw(scalar.filter(lambda k: not (k.is_zero() or k == k._from_int(1))))
+    return a, b, c, shift, center, scale
+
+
+I, J, K = (RationalQuaternion(*unit) for unit in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+ZERO = RationalQuaternion(0)
+
+
+class TestGeneratorClosedForm:
+    """``_translated`` and ``_dilated`` reject exactly the candidates on
+    which ``validate_desargues_config`` raises."""
+
+    def test_exhaustive_gf5_translations(self):
+        values = list(PrimeField(5).elements())
+        shifts = [(x, y) for x, y in product(values, values) if not (x.is_zero() and y.is_zero())]
+        for a, b, c, ab in gf5_triangles():
+            for shift in shifts:
+                assert_same_verdict(_translated(a, b, c, ab, shift), translated(a, b, c, shift))
+
+    # one test per scale keeps each under about a second
+    @pytest.mark.parametrize("scale", [2, 3, 4])
+    def test_exhaustive_gf5_dilations(self, scale):
+        values = list(PrimeField(5).elements())
+        k = values[scale]
+        centers = [PlanePoint(x, y) for x, y in product(values, values)]
+        for a, b, c, ab in gf5_triangles():
+            for center in centers:
+                assert_same_verdict(_dilated(a, b, c, ab, center, k),
+                                    dilated(a, b, c, center, k))
+
+    @given(candidates())
+    # on the triangle (0, 0), (i, j), (j, k): the shift i(i, j) is parallel
+    # to AB and the center j(j, k) lies on AC; then a shift and a center
+    # the closed form accepts
+    @example((PlanePoint(ZERO, ZERO), PlanePoint(I, J), PlanePoint(J, K),
+              (I * I, I * J), PlanePoint(J * J, J * K), K))
+    @example((PlanePoint(ZERO, ZERO), PlanePoint(I, J), PlanePoint(J, K),
+              (K, I), PlanePoint(K, ZERO), I))
+    def test_rational_and_quaternion_candidates(self, candidate):
+        a, b, c, shift, center, scale = candidate
+        assume(a != b)
+        ab = line_through(a, b)
+        assume(not on_line(c, ab))
+        if not (shift[0].is_zero() and shift[1].is_zero()):
+            assert_same_verdict(_translated(a, b, c, ab, shift), translated(a, b, c, shift))
+        assert_same_verdict(_dilated(a, b, c, ab, center, scale),
+                            dilated(a, b, c, center, scale))
+
+
+class TestGeneratorWork:
+    """What one accepted candidate costs the generator, counted at the
+    names ``constructions`` calls."""
+
+    # Parallel: AB for the triangle test (1 line_through, C on AB: 1 on_line),
+    # then AC and BC (2 line_through) with A' tested on AB and AC and B' on
+    # BC (3 on_line): 3 lines and 4 tests.  Concurrent: the same triangle
+    # test, then the center tested on AB, AC and BC: again 3 and 4.  The
+    # full validator builds 9 lines (3 joining lines, 6 sides), so a
+    # generator that also runs it reads at least 12 line_through.
+    @pytest.mark.parametrize("variant, draws", [(PARALLEL, 8), (CONCURRENT, 9)])
+    def test_one_accepted_candidate(self, monkeypatch, variant, draws):
+        field = RationalField()
+        counts = Counter()
+        for name in ("line_through", "on_line"):
+            original = getattr(constructions, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(constructions, name, counted)
+        original_draw = field.random_element
+
+        def counted_draw(rng):
+            counts["random_element"] += 1
+            return original_draw(rng)
+
+        monkeypatch.setattr(field, "random_element", counted_draw)
+        cfg = generate_desargues_config(field, variant, seed=1)
+        # one candidate: six coordinates, then two for the shift, or two for
+        # the center and one for the scale
+        assert counts == Counter(random_element=draws, line_through=3, on_line=4)
+        monkeypatch.undo()
+        assert check_desargues(cfg) is True
