@@ -318,5 +318,6 @@ def entry() -> None:
     sys.exit(main())
 
 
-if __name__ == "__main__":
+# runs only as ``python -m skewplane.cli``, in a child process of the tests
+if __name__ == "__main__":  # pragma: no cover
     entry()

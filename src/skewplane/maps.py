@@ -551,6 +551,7 @@ def preimage(base: CrossRatioBase, value: SkewScalar):
         omega, p, q = base._constants
         t = q * (value - omega).inverse()
         witness = base._singular + (t if p is None else t * p)
+    # the witness is solved exactly, so only a bug fails its back-check
     if witness == base._singular or evaluate(base, witness) != value:  # pragma: no cover
         raise AssertionError(f"preimage witness {witness} of {value} failed "
                              f"its back-check, {base}")

@@ -193,6 +193,7 @@ def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
     else:
         x = (l2.base.y - b1) * (m1 - l2.direction[1]).inverse()
     point = _point(x, b1 + x * m1)
+    # the point is solved exactly from both lines, so only a bug misses one
     if not (on_line(point, l1) and on_line(point, l2)):  # pragma: no cover
         raise AssertionError("intersection point failed containment check")
     return point

@@ -45,7 +45,8 @@ from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import BackendMismatchError, UsageError, ZeroInverseError
 
-if TYPE_CHECKING:
+# only type checkers read the import: at run time Fraction is imported lazily
+if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
 
 RationalLike = Union[int, "Fraction"]
@@ -71,19 +72,6 @@ def _ratio(value, denominator=1) -> tuple:
         raise ZeroDivisionError("zero denominator")
     g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
     return n // g, d // g
-
-
-def _ratio_str(n: int, d: int) -> str:
-    """``n / d`` for d > 0 in lowest terms, ``n`` or ``n/d``, reduced with
-    one gcd; beyond the interpreter's digit limit, which the parser cannot
-    read past either, a UsageError."""
-    g = math.gcd(n, d)
-    if g != 1:
-        n, d = n // g, d // g
-    try:
-        return str(n) if d == 1 else f"{n}/{d}"
-    except ValueError:
-        raise _too_long_to_print() from None
 
 
 def _too_long_to_print() -> UsageError:
@@ -325,7 +313,13 @@ class Rational(SkewScalar):
     __hash__ = SkewScalar.__hash__
 
     def __str__(self) -> str:
-        return _ratio_str(self.numerator, self.denominator)
+        """``n`` or ``n/d``; beyond the interpreter's digit limit, which the
+        parser cannot read past either, a UsageError."""
+        n, d = self.numerator, self.denominator
+        try:
+            return str(n) if d == 1 else f"{n}/{d}"
+        except ValueError:
+            raise _too_long_to_print() from None
 
     def __repr__(self) -> str:
         return f"Rational({self})"
@@ -561,7 +555,7 @@ class RationalQuaternion(SkewScalar):
     __hash__ = SkewScalar.__hash__
 
     def __str__(self) -> str:
-        """``(w,x,y,z)``, each component as ``_ratio_str`` prints it."""
+        """``(w,x,y,z)``, each component as ``Rational.__str__`` prints it."""
         d = self._d
         try:
             if d == 1:

@@ -164,7 +164,8 @@ def plane_axiom_failure(field: PrimeField) -> Optional[str]:
     zero, one = field.zero(), field.one()
     origin = PlanePoint(zero, zero)
     if on_line(PlanePoint(zero, one), line_through(origin, PlanePoint(one, zero))):
-        return "axiom 3 witness points are collinear"
+        # no field reaches this: (0, 1) lies off the line y = 0 in every one
+        return "axiom 3 witness points are collinear"  # pragma: no cover
     return None
 
 
@@ -196,97 +197,95 @@ def construction_oracle_failure(field: ScalarField, rng: random.Random,
 
 
 # ---------------------------------------------------------------------------
-# suites
+# Desargues checker, map theorems, grammar round trip
 
 
-def run_selftest(seed: int = 0, count: int = 50) -> List[SuiteResult]:
-    rng = random.Random(seed)
-    results: List[SuiteResult] = []
+def desargues_failure(field: ScalarField, rng: random.Random,
+                      count: int) -> Optional[str]:
+    """First generated configuration, ``count`` per variant, whose
+    conclusion fails the checker, or None."""
+    for variant in (PARALLEL, CONCURRENT):
+        for _ in range(count):
+            cfg = generate_desargues_config(field, variant, rng.randrange(2 ** 30))
+            if not check_desargues(cfg):
+                return f"conclusion failed for {cfg}"
+    return None
 
-    gf5 = PrimeField(5)
-    failure = field_law_failure(gf5, _exhaustive_triples(gf5))
-    results.append(SuiteResult(
-        "skew-field axioms, gfp(5) exhaustive", failure is None,
-        failure or "125 triples, all laws"))
 
-    for field in (RationalField(), QuaternionField()):
-        failure = field_law_failure(field, _random_triples(field, rng, count))
-        results.append(SuiteResult(
-            f"skew-field axioms, {field.name} randomized", failure is None,
-            failure or f"{count} random triples, all laws"))
+def map_theorem_failure(field: ScalarField, rng: random.Random,
+                        count: int) -> Optional[str]:
+    """Heading of the first failing report, addition structure, group or
+    distributivity, on one random base per family, or None."""
+    for family in Family:
+        base = CrossRatioBase(family, _random_points(field, rng))
+        plain = sample_arguments(field, base, count, rng.randrange(2 ** 30))
+        invertible = sample_arguments(field, base, count, rng.randrange(2 ** 30),
+                                      exclude_zero_point=True)
+        for report in (verify_addition_structure(base, plain),
+                       verify_multiplicative_group(base, invertible),
+                       verify_distributive(base, plain)):
+            if not report.passed:
+                return report.lines()[0]
+    return None
 
-    qf = QuaternionField()
-    witness_ok = qf.i() * qf.j() == qf.k() and qf.j() * qf.i() == -qf.k()
-    results.append(SuiteResult(
-        "non-commutativity witness", witness_ok, "i*j = k, j*i = -k"))
 
-    for p in (2, 3):
-        field = PrimeField(p)
-        failure = plane_axiom_failure(field)
-        results.append(SuiteResult(
-            f"affine plane axioms, gfp({p}) exhaustive", failure is None,
-            failure or "axioms 1-3 and Playfair uniqueness"))
-
-    for field in _backends():
-        failure = construction_oracle_failure(field, rng, count)
-        results.append(SuiteResult(
-            f"construction oracle, {field.name}", failure is None,
-            failure or f"{count} pairs x 3 aux, add and mul"))
-
-    config_count = max(1, count // 5)
-    for field in _backends():
-        ok = True
-        detail = f"{config_count} configurations per variant"
-        for variant in (PARALLEL, CONCURRENT):
-            for _ in range(config_count):
-                cfg = generate_desargues_config(field, variant, rng.randrange(2 ** 30))
-                if not check_desargues(cfg):
-                    ok = False
-                    detail = f"conclusion failed for {cfg}"
-                    break
-        results.append(SuiteResult(f"desargues checker, {field.name}", ok, detail))
-
-    for field in _backends():
-        ok = True
-        detail = f"{count} samples per identity"
-        for family in Family:
-            base = CrossRatioBase(family, _random_points(field, rng))
-            plain = sample_arguments(field, base, count, rng.randrange(2 ** 30))
-            invertible = sample_arguments(field, base, count, rng.randrange(2 ** 30),
-                                          exclude_zero_point=True)
-            reports = [
-                verify_addition_structure(base, plain),
-                verify_multiplicative_group(base, invertible),
-                verify_distributive(base, plain),
-            ]
-            if not all(report.passed for report in reports):
-                ok = False
-                detail = next(line for report in reports if not report.passed
-                              for line in report.lines())
-                break
-        results.append(SuiteResult(f"cross-ratio map theorems, {field.name}", ok, detail))
-
-    gf5_base = CrossRatioBase(Family.A, tuple(gf5.from_int(n) for n in (1, 2, 3)))
-    exhaustive = exhaustive_arguments(gf5, gf5_base)
-    exhaustive_inv = exhaustive_arguments(gf5, gf5_base, exclude_zero_point=True)
-    reports = [
-        verify_addition_structure(gf5_base, exhaustive),
-        verify_multiplicative_group(gf5_base, exhaustive_inv),
-        verify_distributive(gf5_base, exhaustive),
-    ]
-    results.append(SuiteResult(
-        "cross-ratio map theorems, gfp(5) exhaustive arguments",
-        all(r.passed for r in reports), f"base {gf5_base}"))
-
-    ok = True
-    detail = f"{count} random expressions per backend"
+def round_trip_failure(rng: random.Random, count: int) -> Optional[str]:
+    """First random expression, ``count`` per backend, that does not parse
+    back from its printed form to itself, or None."""
     for field in _backends():
         for _ in range(count):
             node = random_expression(field, rng)
             if parse_expression(print_expression(node), field) != node:
-                ok = False
-                detail = f"round trip failed: {print_expression(node)}"
-                break
-    results.append(SuiteResult("expression grammar round trip", ok, detail))
+                return f"round trip failed: {print_expression(node)}"
+    return None
 
-    return results
+
+# ---------------------------------------------------------------------------
+# suites
+
+
+def _suites(rng: random.Random, count: int):
+    """(name, failure or None, detail of a pass) of each suite, in run order."""
+    gf5 = PrimeField(5)
+    yield ("skew-field axioms, gfp(5) exhaustive",
+           field_law_failure(gf5, _exhaustive_triples(gf5)), "125 triples, all laws")
+    for field in (RationalField(), QuaternionField()):
+        yield (f"skew-field axioms, {field.name} randomized",
+               field_law_failure(field, _random_triples(field, rng, count)),
+               f"{count} random triples, all laws")
+    qf = QuaternionField()
+    witness = "i*j = k, j*i = -k"
+    yield ("non-commutativity witness",
+           None if qf.i() * qf.j() == qf.k() and qf.j() * qf.i() == -qf.k() else witness,
+           witness)
+    for p in (2, 3):
+        yield (f"affine plane axioms, gfp({p}) exhaustive",
+               plane_axiom_failure(PrimeField(p)), "axioms 1-3 and Playfair uniqueness")
+    for field in _backends():
+        yield (f"construction oracle, {field.name}",
+               construction_oracle_failure(field, rng, count),
+               f"{count} pairs x 3 aux, add and mul")
+    config_count = max(1, count // 5)
+    for field in _backends():
+        yield (f"desargues checker, {field.name}",
+               desargues_failure(field, rng, config_count),
+               f"{config_count} configurations per variant")
+    for field in _backends():
+        yield (f"cross-ratio map theorems, {field.name}",
+               map_theorem_failure(field, rng, count), f"{count} samples per identity")
+    base = CrossRatioBase(Family.A, tuple(gf5.from_int(n) for n in (1, 2, 3)))
+    every = exhaustive_arguments(gf5, base)
+    invertible = exhaustive_arguments(gf5, base, exclude_zero_point=True)
+    passed = all(report.passed for report in (
+        verify_addition_structure(base, every),
+        verify_multiplicative_group(base, invertible),
+        verify_distributive(base, every)))
+    yield ("cross-ratio map theorems, gfp(5) exhaustive arguments",
+           None if passed else f"base {base}", f"base {base}")
+    yield ("expression grammar round trip", round_trip_failure(rng, count),
+           f"{count} random expressions per backend")
+
+
+def run_selftest(seed: int = 0, count: int = 50) -> List[SuiteResult]:
+    return [SuiteResult(name, failure is None, failure or detail)
+            for name, failure, detail in _suites(random.Random(seed), count)]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewplane import selftest
-from skewplane.cli import load_desargues_config, main, parse_backend
+from skewplane.cli import entry, load_desargues_config, main, parse_backend
 from skewplane.errors import ExpressionSyntaxError
 from skewplane.expressions import (
     MAX_DEPTH,
@@ -151,6 +151,8 @@ class TestBadLiterals:
         (["eval", "\u00b2+1"], 0),  # SUPERSCRIPT TWO
         (["verify", "--family", "A", "--base", "1,2"], 0),
         (["verify", "--family", "A", "--base", "1,2,3,4"], 0),
+        (["eval", "map(E;1,2,3;4)"], 4),
+        (["eval", "r(1;2)"], 3),
     ])
     def test_positioned_usage_error(self, argv, offset, capsys):
         assert main(argv) == 2
@@ -403,6 +405,17 @@ class TestDesarguesCommand:
         assert main(["desargues", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error[ExpressionSyntaxError]: {message}\n"
 
+    @pytest.mark.parametrize("text,message", [
+        (VALID_CONFIG.replace("C=(0,1)\n", "").replace("C'=(2,4)\n", ""),
+         "config is missing C, C'"),
+        (VALID_CONFIG.replace("variant=parallel\n", ""), "config is missing the variant line"),
+    ], ids=["points", "variant"])
+    def test_incomplete_config_is_usage_error(self, text, message, capsys, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        assert main(["desargues", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error[ExpressionSyntaxError]: {message} at offset 0\n")
+
     def test_loader_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(CONCURRENT_CONFIG)
@@ -540,6 +553,20 @@ class TestEvalExitContract:
             assert err.getvalue() == "" and out.getvalue().count("\n") == 1
         else:
             assert err.getvalue().startswith("error[") and err.getvalue().count("\n") == 1
+
+
+class TestEntry:
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["eval", "1/2+1/3"], 0, "5/6\n", ""),
+        (["eval", "0^-1"], 3, "", "error[ZeroInverseError]: 0 has no multiplicative inverse\n"),
+    ], ids=["exit 0", "exit 3"])
+    def test_entry_exits_with_the_status_of_main(self, monkeypatch, capsys,
+                                                 argv, code, out, err):
+        monkeypatch.setattr(sys, "argv", ["skewplane", *argv])
+        with pytest.raises(SystemExit) as excinfo:
+            entry()
+        assert excinfo.value.code == code
+        assert capsys.readouterr() == (out, err)
 
 
 class TestStartup:

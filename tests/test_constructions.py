@@ -274,6 +274,35 @@ class TestDesargues:
                            match=r"^side BC is not parallel to B'C'$"):
             check_desargues(cfg)
 
+    def test_side_ab_not_parallel_rejected(self):
+        # B' slides along BB': the joining lines stay parallel and distinct,
+        # A'B' turns to slope 1/2
+        cfg = DesarguesConfig(rp(0, 0), rp(1, 0), rp(0, 1),
+                              rp(1, 1), rp(3, 2), rp(1, 2), PARALLEL)
+        with pytest.raises(InvalidConfigurationError,
+                           match=r"^side AB is not parallel to A'B'$"):
+            check_desargues(cfg)
+
+    def test_generator_rejects_unknown_variant(self):
+        with pytest.raises(InvalidConfigurationError, match=r"^unknown variant 'skew'$"):
+            generate_desargues_config(RationalField(), "skew", 0)
+
+    @pytest.mark.parametrize("variant", [PARALLEL, CONCURRENT])
+    def test_generator_refuses_gf2(self, variant):
+        with pytest.raises(InvalidConfigurationError,
+                           match=r"^gfp\(2\) has no Desargues configuration$"):
+            generate_desargues_config(PrimeField(2), variant, 0)
+
+    def test_gf2_plane_has_no_configuration(self):
+        # every labeled sextuple of AG(2, 2), parallel or concurrent at any center
+        field = PrimeField(2)
+        points = [PlanePoint(x, y) for x, y in product(field.elements(), repeat=2)]
+        claims = [(PARALLEL, None)] + [(CONCURRENT, center) for center in points]
+        for six in product(points, repeat=6):
+            for variant, center in claims:
+                with pytest.raises(InvalidConfigurationError):
+                    validate_desargues_config(DesarguesConfig(*six, variant, center))
+
 
 def test_generated_configs_match_golden():
     """Pins the generator's RNG stream and every configuration it returns."""

@@ -63,6 +63,11 @@ class TestLineThrough:
         assert rational_line((0, 0), (2, 2)) == rational_line((3, 3), (-1, -1))
         assert hash(rational_line((0, 0), (2, 2))) == hash(rational_line((3, 3), (-1, -1)))
         assert rational_line((0, 0), (1, 1)) != rational_line((0, 1), (1, 2))
+        assert (X_AXIS == 3) is False and X_AXIS.__eq__(3) is NotImplemented
+
+    def test_zero_direction_rejected(self):
+        with pytest.raises(ValueError, match="^line direction must be nonzero$"):
+            PlaneLine(rp(1, 2), (Rational(0), Rational(0)))
 
     @pytest.mark.parametrize("backend", ["rational", "quaternion"])
     def test_copy_and_pickle(self, backend):

@@ -123,6 +123,12 @@ class TestPrimeField:
         assert (3 * 4) % 5 == 2
         assert gf5.from_int(3) * gf5.from_int(4) == gf5.from_int(2)
 
+    def test_element_constructor_checks_its_arguments(self):
+        with pytest.raises(TypeError, match="^residue must be an int$"):
+            PrimeFieldElement("1", 5)
+        with pytest.raises(ValueError, match="^modulus must be an integer >= 2, got 1$"):
+            PrimeFieldElement(1, 1)
+
     @pytest.mark.parametrize("bad", [-5, 0, 1, 4, 6, 9, 15])
     def test_composite_or_small_moduli_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -261,10 +267,13 @@ class TestScalarProtocol:
         assert 5 - three == 2 and three - 1 == 2 and 2 * three == three * 2 == 6
         assert three == same and hash(three) == hash(same) == hash(same._key()) == key_hash
         assert {same: "ok"}[three] == "ok"
-        for alien in ("3", 3.0, None):
+        assert bool(three) is True and bool(three - 3) is False
+        for alien in ("3", 3.0, None, Fraction(1, 2)):
             assert three != alien and three.__eq__(alien) is NotImplemented
-            with pytest.raises(TypeError):
-                three + alien
+            for left, right in ((three, alien), (alien, three)):
+                for operation in (add, operator.mul):
+                    with pytest.raises(TypeError):
+                        operation(left, right)
         for other_field in FIELDS:
             if other_field == field:
                 continue
@@ -491,6 +500,11 @@ class TestFields:
         assert RationalField().commutative and not RationalField().finite
         assert PrimeField(5).finite and PrimeField(5).commutative
         assert not QuaternionField().commutative
+
+    def test_equal_fields_hash_equal(self):
+        for make in (RationalField, QuaternionField, lambda: PrimeField(5)):
+            assert make() == make() and hash(make()) == hash(make())
+        assert PrimeField(5) != PrimeField(7)
 
     def test_elements_enumeration(self):
         assert len(list(PrimeField(5).elements())) == 5

@@ -127,6 +127,26 @@ def test_construction_oracle_failure_names_the_operation(monkeypatch, operation,
     assert failure is not None and failure.startswith(start), failure
 
 
+def test_desargues_failure_names_the_first_config_and_stops(monkeypatch):
+    checked = []
+    monkeypatch.setattr(selftest, "check_desargues", lambda cfg: checked.append(cfg))
+    failure = selftest.desargues_failure(RationalField(), selftest.random.Random(1), 3)
+    assert len(checked) == 1 and failure == f"conclusion failed for {checked[0]}"
+
+
+def test_map_theorem_failure_names_the_failing_report(monkeypatch):
+    failing = SimpleNamespace(passed=False, lines=lambda: ["[poisoned]", "detail"])
+    monkeypatch.setattr(selftest, "verify_distributive", lambda base, samples: failing)
+    failure = selftest.map_theorem_failure(PrimeField(5), selftest.random.Random(1), 3)
+    assert failure == "[poisoned]"
+
+
+def test_round_trip_failure_names_the_expression(monkeypatch):
+    monkeypatch.setattr(selftest, "parse_expression", lambda text, field: None)
+    failure = selftest.round_trip_failure(selftest.random.Random(1), 3)
+    assert failure is not None and failure.startswith("round trip failed: "), failure
+
+
 class LeftHeavy(PrimeFieldElement):
     """A GF(p) element whose sums, with it on the left, come out one too
     large: addition is no longer associative."""
@@ -154,9 +174,27 @@ def _construction_poison(monkeypatch):
     return "construction oracle, rational: FAIL (mul mismatch: "
 
 
+def _desargues_poison(monkeypatch):
+    monkeypatch.setattr(selftest, "check_desargues", lambda cfg: False)
+    return "desargues checker, rational: FAIL (conclusion failed for DesarguesConfig("
+
+
+def _map_poison(monkeypatch):
+    failing = SimpleNamespace(passed=False, lines=lambda: ["[poisoned]"])
+    monkeypatch.setattr(selftest, "verify_distributive", lambda base, samples: failing)
+    return "cross-ratio map theorems, quaternion: FAIL ([poisoned])"
+
+
+def _round_trip_poison(monkeypatch):
+    monkeypatch.setattr(selftest, "parse_expression", lambda text, field: None)
+    return "expression grammar round trip: FAIL (round trip failed: "
+
+
 @pytest.mark.parametrize("poison, failed", [(_field_poison, 1), (_plane_poison, 2),
-                                            (_construction_poison, 3)],
-                         ids=["field laws", "plane axioms", "construction oracle"])
+                                            (_construction_poison, 3), (_desargues_poison, 3),
+                                            (_map_poison, 4), (_round_trip_poison, 1)],
+                         ids=["field laws", "plane axioms", "construction oracle",
+                              "desargues checker", "map theorems", "round trip"])
 def test_cli_selftest_exits_1_naming_the_failing_suite(monkeypatch, capsys, poison, failed):
     line = poison(monkeypatch)
     assert main(["selftest", "--seed", "0", "--count", "5"]) == 1

@@ -2,9 +2,14 @@
 
 import pytest
 
-from skewplane.constructions import LineFrame, trace_addition, trace_multiplication
+from skewplane.constructions import (
+    ConstructionTrace,
+    LineFrame,
+    trace_addition,
+    trace_multiplication,
+)
 from skewplane.errors import UnsupportedBackendError
-from skewplane.plane import PlanePoint
+from skewplane.plane import PlaneLine, PlanePoint
 from skewplane.scalars import PrimeField, QuaternionField, Rational, RationalField
 from skewplane.svg import emit_svg, render_construction
 
@@ -37,6 +42,13 @@ class TestRendering:
         text = render_construction(_rational_trace("add"))
         assert 'viewBox="0 0 640 480"' in text
         assert text.startswith('<?xml version="1.0" encoding="UTF-8"?>')
+
+    def test_line_outside_the_box_is_not_drawn(self):
+        trace = _rational_trace("add")
+        far = PlaneLine(PlanePoint(Rational(0), Rational(1000)), (Rational(1), Rational(0)))
+        extra = ConstructionTrace(trace.kind, trace.frame, trace.a, trace.b, trace.aux,
+                                  trace.p1, trace.result, trace.lines + (("far", far),))
+        assert render_construction(extra) == render_construction(trace)
 
     def test_byte_determinism(self, tmp_path):
         first = tmp_path / "a.svg"

@@ -12,7 +12,8 @@ a line, so docstrings, ``pass`` and ``global`` do not; a compound statement's
 own lines are its decorators and header, up to its body.  A statement whose
 own lines carry ``# pragma: no cover`` is left out together with its body.
 Tests that run the CLI in a child process are not traced, so what only they
-reach is listed.  The exit status is pytest's; the list never fails the run.
+reach is listed.  The exit status is pytest's when pytest fails, else 1 when
+any statement is listed and 0 when none is.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def main(argv) -> int:
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{start}: {text[start - 1].strip()}")
     print(f"{missed} statements of src/skewplane never ran")
-    return status
+    return status or int(missed > 0)
 
 
 if __name__ == "__main__":
