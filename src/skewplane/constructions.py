@@ -123,6 +123,17 @@ def _check_construction_inputs(frame: LineFrame, a: PlanePoint, b: PlanePoint,
         raise AuxOnBaseLineError(f"auxiliary point {aux} lies on the frame line")
 
 
+def _step3(kind: str, frame: LineFrame, a: PlanePoint, b: PlanePoint, aux: PlanePoint,
+           p1: PlanePoint, lines: Tuple[Tuple[str, PlaneLine], ...]) -> ConstructionTrace:
+    """Step 3, which both constructions end with: the parallel to B-aux
+    through P1 meets the frame line in the result.  The trace lists
+    ``lines`` and then B-aux and the step-3 line."""
+    b_aux = line_through(b, aux)
+    l3 = parallel_through(p1, b_aux)
+    return ConstructionTrace(kind, frame, a, b, aux, p1, intersect(l3, frame.line),
+                             lines + (("B-aux", b_aux), ("step3", l3)))
+
+
 def trace_addition(frame: LineFrame, a: PlanePoint, b: PlanePoint,
                    aux: PlanePoint) -> ConstructionTrace:
     """Run the three-step addition construction, keeping every step.
@@ -133,17 +144,10 @@ def trace_addition(frame: LineFrame, a: PlanePoint, b: PlanePoint,
     the frame line, both parallel to it, in one point each."""
     _check_construction_inputs(frame, a, b, aux)
     o_aux = line_through(frame.origin, aux)
-    b_aux = line_through(b, aux)
     l1 = parallel_through(aux, frame.line)
     l2 = parallel_through(a, o_aux)
-    p1 = intersect(l1, l2)
-    l3 = parallel_through(p1, b_aux)
-    result = intersect(l3, frame.line)
-    return ConstructionTrace(
-        kind="add", frame=frame, a=a, b=b, aux=aux, p1=p1, result=result,
-        lines=(("base", frame.line), ("O-aux", o_aux), ("step1", l1),
-               ("step2", l2), ("B-aux", b_aux), ("step3", l3)),
-    )
+    return _step3("add", frame, a, b, aux, intersect(l1, l2),
+                  (("base", frame.line), ("O-aux", o_aux), ("step1", l1), ("step2", l2)))
 
 
 def trace_multiplication(frame: LineFrame, a: PlanePoint, b: PlanePoint,
@@ -158,16 +162,9 @@ def trace_multiplication(frame: LineFrame, a: PlanePoint, b: PlanePoint,
     _check_construction_inputs(frame, a, b, aux)
     i_aux = line_through(frame.unit, aux)
     o_aux = line_through(frame.origin, aux)
-    b_aux = line_through(b, aux)
     l1 = parallel_through(a, i_aux)
-    p1 = intersect(l1, o_aux)
-    l3 = parallel_through(p1, b_aux)
-    result = intersect(l3, frame.line)
-    return ConstructionTrace(
-        kind="mul", frame=frame, a=a, b=b, aux=aux, p1=p1, result=result,
-        lines=(("base", frame.line), ("I-aux", i_aux), ("step1", l1),
-               ("O-aux", o_aux), ("B-aux", b_aux), ("step3", l3)),
-    )
+    return _step3("mul", frame, a, b, aux, intersect(l1, o_aux),
+                  (("base", frame.line), ("I-aux", i_aux), ("step1", l1), ("O-aux", o_aux)))
 
 
 def geometric_add(frame: LineFrame, a: PlanePoint, b: PlanePoint,

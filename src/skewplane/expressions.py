@@ -54,20 +54,24 @@ from .scalars import (
 
 
 class Node(Immutable):
-    """An expression node: its operands in ``args``.
+    """An expression node: its operands in ``args`` and its tree ``depth``.
 
     Each kind is one row made by ``_node``: ``form`` is the printed text
     as a ``str.format`` template over the printed operands, ``apply``
     maps the evaluated operands to the node's value, and ``arity`` is the
     operand count.  An operand that is no node (a literal's value, a
-    map's family) is printed and applied as it is.  ``==``, ``hash`` and
-    ``repr`` are over the kind and the operands.
+    map's family) is printed and applied as it is.  ``depth``, the number
+    of operator nodes on the longest path to a literal (0 for a literal),
+    is set at construction from the operand nodes' depths.  ``==``,
+    ``hash`` and ``repr`` are over the kind and the operands only.
     """
 
-    __slots__ = ("args",)
+    __slots__ = ("args", "depth")
 
     def __init__(self, *args):
         object.__setattr__(self, "args", args)
+        object.__setattr__(self, "depth", 1 + max(
+            (arg.depth for arg in args if isinstance(arg, Node)), default=-1))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -165,7 +169,6 @@ MAX_DEPTH = 100
 
 class _Parser:
     def __init__(self, text: str, field: ScalarField):
-        self.text = text
         self.field = field
         self.tokens = _tokenize(text)
         self.index = 0
@@ -249,39 +252,33 @@ class _Parser:
         return field.from_int(self._int(token))
 
     # grammar -------------------------------------------------------------
-    # Each rule returns the node it read and the node's tree depth, the
-    # number of operator nodes on its longest path to a literal.
 
-    def _checked(self, node: Node, depth: int, token: _Token) -> Tuple[Node, int]:
-        """``(node, depth)``; a depth past MAX_DEPTH fails at ``token``."""
-        if depth > MAX_DEPTH:
+    def _checked(self, node: Node, token: _Token) -> Node:
+        """``node``; a depth past MAX_DEPTH fails at ``token``."""
+        if node.depth > MAX_DEPTH:
             raise ExpressionSyntaxError(
                 f"expression deeper than {MAX_DEPTH} levels", token.pos)
-        return node, depth
+        return node
 
-    def parse_expression(self) -> Tuple[Node, int]:
-        node, depth = self.parse_term()
+    def parse_expression(self) -> Node:
+        node = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            right, right_depth = self.parse_term()
-            node, depth = self._checked(
-                (Add if op.kind == "+" else Sub)(node, right),
-                1 + max(depth, right_depth), op)
-        return node, depth
+            node = self._checked((Add if op.kind == "+" else Sub)(node, self.parse_term()), op)
+        return node
 
-    def parse_term(self) -> Tuple[Node, int]:
-        node, depth = self.parse_postfix()
+    def parse_term(self) -> Node:
+        node = self.parse_postfix()
         while self.peek().kind == "*":
             op = self.advance()
-            right, right_depth = self.parse_postfix()
-            node, depth = self._checked(Mul(node, right), 1 + max(depth, right_depth), op)
-        return node, depth
+            node = self._checked(Mul(node, self.parse_postfix()), op)
+        return node
 
-    def parse_postfix(self) -> Tuple[Node, int]:
-        node, depth = self.parse_primary()
+    def parse_postfix(self) -> Node:
+        node = self.parse_primary()
         while self.peek().kind == "invop":
-            node, depth = self._checked(Inv(node), depth + 1, self.advance())
-        return node, depth
+            node = self._checked(Inv(node), self.advance())
+        return node
 
     def _literal_here(self) -> Optional[Literal]:
         """A literal starting at the cursor, or None if something else starts.
@@ -303,25 +300,23 @@ class _Parser:
             return Literal(self._parse_literal())
         return None
 
-    def parse_primary(self) -> Tuple[Node, int]:
+    def parse_primary(self) -> Node:
         """[-]... followed by a literal, a parenthesized expression or a
         function form; the sign nearest a literal folds into it."""
         signs = []
         while self.peek().kind == "-":
             signs.append(self.advance())
-        literal = self._literal_here()
-        if literal is None:
-            node, depth = self._parse_group()
+        node = self._literal_here()
+        if node is None:
+            node = self._parse_group()
         elif signs:
             signs.pop()
-            node, depth = Literal(-literal.value), 0
-        else:
-            node, depth = literal, 0
+            node = Literal(-node.value)
         for sign in reversed(signs):
-            node, depth = self._checked(Neg(node), depth + 1, sign)
-        return node, depth
+            node = self._checked(Neg(node), sign)
+        return node
 
-    def _parse_group(self) -> Tuple[Node, int]:
+    def _parse_group(self) -> Node:
         """A parenthesized expression or a function form, one nesting level in."""
         token = self.peek()
         is_function = token.kind == "ident" and token.text in _FUNCTION_NAMES
@@ -339,7 +334,7 @@ class _Parser:
         self.nesting -= 1
         return result
 
-    def _arguments(self, *separators: str) -> List[Tuple[Node, int]]:
+    def _arguments(self, *separators: str) -> List[Node]:
         """Expressions separated by ``separators`` in turn, then ``)``."""
         parsed = [self.parse_expression()]
         for separator in separators:
@@ -348,7 +343,7 @@ class _Parser:
         self.expect(")")
         return parsed
 
-    def parse_function(self) -> Tuple[Node, int]:
+    def parse_function(self) -> Node:
         name = self.advance()
         self.expect("(")
         if name.text == "map":
@@ -375,8 +370,7 @@ class _Parser:
                 parsed, build = [first] + self._arguments(), Ratio2
             else:
                 parsed, build = [first] + self._arguments(";"), Ratio3
-        return self._checked(build(*(node for node, _ in parsed)),
-                             1 + max(depth for _, depth in parsed), name)
+        return self._checked(build(*parsed), name)
 
 
 def _parse_complete(text: str, field: ScalarField, rule):
@@ -391,7 +385,7 @@ def _parse_complete(text: str, field: ScalarField, rule):
 
 def parse_expression(text: str, field: ScalarField) -> Node:
     """Parse one complete expression; trailing input is an error."""
-    return _parse_complete(text, field, lambda parser: parser.parse_expression()[0])
+    return _parse_complete(text, field, _Parser.parse_expression)
 
 
 def parse_scalar(text: str, field: ScalarField) -> SkewScalar:

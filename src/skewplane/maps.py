@@ -123,9 +123,16 @@ class CrossRatioBase(Immutable, Record):
                  "_constants", "_inverse_constants")
 
     def __init__(self, family: Family, points: Tuple[SkewScalar, SkewScalar, SkewScalar]):
+        if not isinstance(family, Family):
+            raise TypeError(f"a cross-ratio base's family must be a Family, "
+                            f"got {type(family).__name__}")
         self._init(family, points, None)  # the error below prints the base
         if len(self.points) != 3:
             raise InvalidBaseError("a cross-ratio base fixes exactly three points")
+        for point in self.points:
+            if not isinstance(point, SkewScalar):
+                raise TypeError(f"cross-ratio base points must be scalars, "
+                                f"got {type(point).__name__}")
         p, q, r = self.points
         if p == q or p == r or q == r:
             raise InvalidBaseError(f"base points must be pairwise distinct: {self}")

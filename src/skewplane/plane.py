@@ -19,12 +19,15 @@ Intersections are closed forms on those canonical lines (see
 before it is returned.
 
 Only the public constructors, ``PlanePoint(x, y)`` and
-``PlaneLine(base, direction)``, validate their arguments.  The primitives
-build each point and line in one step from their own arithmetic, which
-already raises BackendMismatchError on mixed backends: ``_point`` writes
-a point's slots, and ``PlaneLine._canonical`` a line's, past the
-constructors' checks.  ``parallel_through`` keeps its backend check, since
-a vertical line needs no arithmetic there.
+``PlaneLine(base, direction)``, validate their arguments: every
+coordinate and direction component must be a scalar (anything else,
+plain ints included, is a TypeError, since a point has no backend to
+embed an int in), and all of one backend (else BackendMismatchError).
+The primitives build each point and line in one step from their own
+arithmetic, which already raises BackendMismatchError on mixed backends:
+``_point`` writes a point's slots, and ``PlaneLine._canonical`` a line's,
+past the constructors' checks.  ``parallel_through`` checks the backends
+only for a vertical line, which needs no arithmetic there.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ Direction = Tuple[SkewScalar, SkewScalar]
 
 
 class PlanePoint(Immutable, Record):
-    """A point of the plane; both coordinates from the same backend."""
+    """A point of the plane; both coordinates scalars of one backend."""
 
     __slots__ = ("x", "y")
 
@@ -145,9 +148,12 @@ def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
 def parallel_through(p: PlanePoint, line: PlaneLine) -> PlaneLine:
     """The line through p with line's canonical direction, reused as it is:
     anchor (0, p.y - p.x*m), or (p.x, 0) for a vertical line."""
-    ensure_same_backend(p.x, *line.direction)
     dx, m = line.direction
-    x, y = (p.x, line.base.y) if dx.is_zero() else (line.base.x, p.y - p.x * m)
+    if dx.is_zero():
+        ensure_same_backend(p.x, m)
+        x, y = p.x, line.base.y
+    else:
+        x, y = line.base.x, p.y - p.x * m
     return _new(PlaneLine)._set(_point(x, y), line.direction)
 
 

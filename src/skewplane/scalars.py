@@ -74,12 +74,6 @@ def _ratio(value, denominator=1) -> tuple:
     return n // g, d // g
 
 
-def _too_long_to_print() -> UsageError:
-    """The error for a value whose digits exceed the interpreter's limit."""
-    return UsageError("value too long to print: more than "
-                      f"{sys.get_int_max_str_digits()} digits")
-
-
 class Immutable:
     """Slotted values that refuse assignment and deletion of attributes.
 
@@ -319,7 +313,8 @@ class Rational(SkewScalar):
         try:
             return str(n) if d == 1 else f"{n}/{d}"
         except ValueError:
-            raise _too_long_to_print() from None
+            raise UsageError("value too long to print: more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
 
     def __repr__(self) -> str:
         return f"Rational({self})"
@@ -555,16 +550,10 @@ class RationalQuaternion(SkewScalar):
     __hash__ = SkewScalar.__hash__
 
     def __str__(self) -> str:
-        """``(w,x,y,z)``, each component as ``Rational.__str__`` prints it."""
+        """``(w,x,y,z)``, each component the rational ``Rational.__str__``
+        prints, so in lowest terms, and past the digit limit a UsageError."""
         d = self._d
-        try:
-            if d == 1:
-                return "({},{},{},{})".format(*self._n)
-            return "({},{},{},{})".format(*(
-                f"{a // g}/{d // g}" if (g := math.gcd(a, d)) != d else str(a // g)
-                for a in self._n))
-        except ValueError:
-            raise _too_long_to_print() from None
+        return "({},{},{},{})".format(*(Rational._reduce(a, d) for a in self._n))
 
     def __repr__(self) -> str:
         return f"RationalQuaternion{self.components()}"
@@ -575,7 +564,12 @@ _set_quaternion_d = RationalQuaternion._d.__set__
 
 
 def ensure_same_backend(first: SkewScalar, *rest: SkewScalar) -> None:
-    """Raise BackendMismatchError unless all scalars share one backend."""
+    """Raise TypeError unless every argument is a scalar (an int too: the
+    callers store the values as they are), and BackendMismatchError unless
+    all share one backend."""
+    for value in (first, *rest):
+        if SkewScalar not in type(value).__mro__:  # isinstance would ask the slower ABC
+            raise TypeError(f"expected a scalar, got {type(value).__name__}")
     for other in rest:
         first._coerce(other)
 

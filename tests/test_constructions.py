@@ -126,6 +126,14 @@ class TestMultiplicationConstruction:
         trace = trace_multiplication(rframe, rp(2, 0), rp(3, 0), rp(0, 1))
         assert trace.p1 == rp(0, 2)
         assert trace.result == rp(6, 0)
+        assert trace.lines == (
+            ("base", line_through(rp(0, 0), rp(1, 0))),
+            ("I-aux", line_through(rp(1, 0), rp(0, 1))),
+            ("step1", line_through(rp(2, 0), rp(0, 2))),
+            ("O-aux", line_through(rp(0, 0), rp(0, 1))),
+            ("B-aux", line_through(rp(3, 0), rp(0, 1))),
+            ("step3", line_through(rp(0, 2), rp(6, 0))),
+        )
 
     def test_multiplying_by_one(self, rframe):
         one = rframe.unit

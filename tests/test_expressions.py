@@ -17,6 +17,7 @@ from skewplane.expressions import (
     MapNode,
     Mul,
     Neg,
+    Node,
     Ratio2,
     Ratio3,
     Sub,
@@ -205,6 +206,48 @@ class TestNodeTable:
             node.args = ()
         with pytest.raises(AttributeError):
             node.extra = 1
+
+
+def tree_depth(node: Node) -> int:
+    """The operator nodes on the longest path to a literal, counted afresh."""
+    if isinstance(node, Literal):
+        return 0
+    return 1 + max(tree_depth(arg) for arg in node.args if isinstance(arg, Node))
+
+
+def subtrees(node: Node):
+    yield node
+    for arg in node.args:
+        if isinstance(arg, Node):
+            yield from subtrees(arg)
+
+
+class TestDepth:
+    """Each node carries its depth, which the parser's cap reads."""
+
+    @pytest.mark.parametrize("text, depth", [
+        ("2", 0), ("-2", 0), ("-(2)", 1), ("--2", 1), ("((2))^-1^-1", 2),
+        ("1 + 2 * 3", 2), ("1 * 2 + 3 - 4", 3), ("r(1:2)", 1), ("r(5,3;2 + 1)", 2),
+        ("cr(2,3;1,5 * (1 + 1))", 3), ("map(A; 3,1,5; (2 + 1)^-1)", 3),
+    ])
+    def test_parsed_trees(self, text, depth):
+        node = parse_expression(text, RATIONAL)
+        assert node.depth == depth
+        assert all(sub.depth == tree_depth(sub) for sub in subtrees(node))
+
+    @pytest.mark.parametrize("field", [RATIONAL, GF5, QUAT], ids=lambda f: f.name)
+    def test_generated_trees(self, field):
+        rng = random.Random(7)
+        for _ in range(60):
+            node = random_expression(field, rng, depth=5)
+            assert all(sub.depth == tree_depth(sub) for sub in subtrees(node))
+            assert parse_expression(print_expression(node), field).depth == node.depth
+
+    def test_depth_is_no_part_of_the_value(self):
+        node = Add(Literal(Rational(1)), Neg(Literal(Rational(2))))
+        twin = Add(Literal(Rational(1)), Neg(Literal(Rational(2))))
+        object.__setattr__(twin, "depth", 0)
+        assert twin == node and hash(twin) == hash(node) and repr(twin) == repr(node)
 
 
 class TestRoundTrip:

@@ -82,6 +82,19 @@ class TestBaseValidation:
         with pytest.raises(InvalidBaseError):
             CrossRatioBase(Family.A, (Rational(1), Rational(2)))
 
+    @pytest.mark.parametrize("family", ["A", None, 0])
+    def test_family_must_be_a_family(self, family):
+        with pytest.raises(TypeError, match="^a cross-ratio base's family must be a Family"):
+            CrossRatioBase(family, (Rational(1), Rational(2), Rational(3)))
+
+    @pytest.mark.parametrize("points", [
+        (1, 2, 3), (Rational(1), 2, 3), (Rational(1), Rational(2), 3.0),
+        (Rational(1), Rational(2), "3"), (Rational(1), Rational(2), None),
+    ], ids=repr)
+    def test_points_must_be_scalars(self, points):
+        with pytest.raises(TypeError, match="^cross-ratio base points must be scalars"):
+            CrossRatioBase(Family.A, points)
+
 
 class TestEvaluate:
     def test_family_a_worked_value(self):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -242,6 +243,25 @@ class TestMixedBackends:
             PlaneLine(p, (p.x, q.y))
         with pytest.raises(BackendMismatchError):
             PlanePoint(p.x, q.y)
+
+
+#: Coordinates a point or line refuses: no scalar, or an int, which has no
+#: backend to be embedded in.
+NOT_SCALARS = [2, 0, True, 2.5, "x", None, Fraction(1, 2)]
+
+
+class TestConstructorsTakeScalarsOnly:
+    @pytest.mark.parametrize("bad", NOT_SCALARS, ids=repr)
+    def test_point(self, bad):
+        for x, y in ((Rational(1), bad), (bad, Rational(1)), (bad, bad)):
+            with pytest.raises(TypeError, match="^expected a scalar, got "):
+                PlanePoint(x, y)
+
+    @pytest.mark.parametrize("bad", NOT_SCALARS, ids=repr)
+    def test_line(self, bad):
+        for direction in ((Rational(1), bad), (bad, Rational(1)), (bad, bad)):
+            with pytest.raises(TypeError, match="^expected a scalar, got "):
+                PlaneLine(rp(1, 2), direction)
 
 
 class TestIncidence:
