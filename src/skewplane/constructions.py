@@ -65,6 +65,9 @@ class LineFrame(Immutable, Record):
     __slots__ = ("origin", "unit", "line", "_axis")
 
     def __init__(self, origin: PlanePoint, unit: PlanePoint):
+        for point in (origin, unit):
+            if not isinstance(point, PlanePoint):
+                raise TypeError(f"expected a PlanePoint, got {type(point).__name__}")
         if origin == unit:
             raise CoincidentPointsError("frame needs two distinct points O and I")
         self._init(origin, unit, line_through(origin, unit), origin.displacement_to(unit))

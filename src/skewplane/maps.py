@@ -126,6 +126,7 @@ class CrossRatioBase(Immutable, Record):
         if not isinstance(family, Family):
             raise TypeError(f"a cross-ratio base's family must be a Family, "
                             f"got {type(family).__name__}")
+        points = tuple(points)
         self._init(family, points, None)  # the error below prints the base
         if len(self.points) != 3:
             raise InvalidBaseError("a cross-ratio base fixes exactly three points")

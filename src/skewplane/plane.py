@@ -7,12 +7,12 @@ normalized direction, with the scalar parameter acting on the LEFT,
 
 Left action is one of the two legal conventions over a skew field; fixing
 it here fixes it for every other module.  Every line is stored in closed
-canonical form: a non-vertical line is y = b + x*m, with direction (1, m)
-for the left slope m = dx^-1 * dy and anchor (0, b), b = base.y - base.x*m;
-a vertical line x = c has direction (0, 1) and anchor (c, 0).  So
-parallelism is a plain equality of directions instead of a
-proportionality search in a non-commutative ring, and structural equality
-of PlaneLine values coincides with geometric equality of the lines.
+canonical form, as two scalars: y = b + x*m keeps b and the left slope
+m = dx^-1 * dy, and x = c keeps c and the slope None.  The anchor, (0, b)
+or (c, 0), and the direction, (1, m) or (0, 1), are derived when read.
+So parallelism is a plain equality of slopes instead of a proportionality
+search in a non-commutative ring, and structural equality of PlaneLine
+values coincides with geometric equality of the lines.
 
 Intersections are closed forms on those canonical lines (see
 ``intersect``); each intersection point is re-checked against both lines
@@ -25,9 +25,9 @@ plain ints included, is a TypeError, since a point has no backend to
 embed an int in), and all of one backend (else BackendMismatchError).
 The primitives build each point and line in one step from their own
 arithmetic, which already raises BackendMismatchError on mixed backends:
-``_point`` writes a point's slots, and ``PlaneLine._canonical`` a line's,
-past the constructors' checks.  ``parallel_through`` checks the backends
-only for a vertical line, which needs no arithmetic there.
+``_point`` writes a point's slots, and ``PlaneLine._set`` a line's,
+past the constructors' checks.  ``parallel_through`` and ``is_parallel``
+check the backends only for a vertical line, which needs no arithmetic.
 """
 
 from __future__ import annotations
@@ -93,14 +93,17 @@ class PlaneLine(Immutable):
     """A line in canonical form, so two PlaneLine values compare equal
     exactly when they denote the same set of points.
 
-    A non-vertical line y = b + x*m has direction (1, m), m = dx^-1 * dy
-    (the left action), and anchor (0, b) with b = base.y - base.x*m; a
-    vertical line x = c has direction (0, 1) and anchor (c, 0).
+    Two slots are stored: a non-vertical line y = b + x*m keeps ``_b`` = b
+    and ``_m`` = m = dx^-1 * dy, the left slope; a vertical line x = c
+    keeps ``_b`` = c and ``_m`` = None.  ``base``, the anchor (0, b) or
+    (c, 0), and ``direction``, (1, m) or (0, 1), are derived when read.
     """
 
-    __slots__ = ("base", "direction")
+    __slots__ = ("_b", "_m")
 
     def __init__(self, base: PlanePoint, direction: Direction):
+        if not isinstance(base, PlanePoint):
+            raise TypeError(f"expected a PlanePoint, got {type(base).__name__}")
         dx, dy = direction
         ensure_same_backend(base.x, base.y, dx, dy)
         if dx.is_zero() and dy.is_zero():
@@ -112,20 +115,30 @@ class PlaneLine(Immutable):
         """Write the canonical form of the line through (x, y) with the
         nonzero direction (dx, dy), all four from one backend."""
         if dx.is_zero():
-            return self._set(_point(x, dx), (dx, dy._from_int(1)))
+            return self._set(x, None)
         m = dx.inverse() * dy
-        return self._set(_point(dx._from_int(0), y - x * m), (dx._from_int(1), m))
+        return self._set(y - x * m, m)
 
-    def _set(self, anchor: PlanePoint, direction: Direction) -> "PlaneLine":
-        """Write the slots; anchor and direction are already canonical."""
-        object.__setattr__(self, "base", anchor)
-        object.__setattr__(self, "direction", direction)
+    def _set(self, b: SkewScalar, m) -> "PlaneLine":
+        """Write the slots: the intercept and slope, or c and None."""
+        object.__setattr__(self, "_b", b)
+        object.__setattr__(self, "_m", m)
         return self
+
+    @property
+    def base(self) -> PlanePoint:
+        zero = self._b._from_int(0)
+        return _point(self._b, zero) if self._m is None else _point(zero, self._b)
+
+    @property
+    def direction(self) -> Direction:
+        one = self._b._from_int(1)
+        return (self._b._from_int(0), one) if self._m is None else (one, self._m)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlaneLine):
             return NotImplemented
-        return self.base == other.base and self.direction == other.direction
+        return is_parallel(self, other) and self._b == other._b
 
     def __hash__(self):
         return hash((self.base, self.direction))
@@ -146,29 +159,30 @@ def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
 
 
 def parallel_through(p: PlanePoint, line: PlaneLine) -> PlaneLine:
-    """The line through p with line's canonical direction, reused as it is:
-    anchor (0, p.y - p.x*m), or (p.x, 0) for a vertical line."""
-    dx, m = line.direction
-    if dx.is_zero():
-        ensure_same_backend(p.x, m)
-        x, y = p.x, line.base.y
-    else:
-        x, y = line.base.x, p.y - p.x * m
-    return _new(PlaneLine)._set(_point(x, y), line.direction)
+    """The line through p with line's slope, reused as it is:
+    y = (p.y - p.x*m) + x*m, or x = p.x for a vertical line."""
+    m = line._m
+    if m is None:
+        ensure_same_backend(p.x, line._b)
+        return _new(PlaneLine)._set(p.x, None)
+    return _new(PlaneLine)._set(p.y - p.x * m, m)
 
 
 def is_parallel(l1: PlaneLine, l2: PlaneLine) -> bool:
-    """True iff normalized directions agree; every line is parallel to itself."""
-    return l1.direction == l2.direction
+    """True iff both lines are vertical or their slopes agree."""
+    if l1._m is None or l2._m is None:
+        ensure_same_backend(l1._b, l2._b)
+        return l1._m is l2._m
+    return l1._m == l2._m
 
 
 def on_line(p: PlanePoint, line: PlaneLine) -> bool:
     """True iff p lies on the line: p.y == b + p.x*m for the line
-    y = b + x*m with anchor (0, b), or p.x == c for a vertical line x = c."""
-    dx, m = line.direction
-    if dx.is_zero():
-        return p.x == line.base.x
-    return p.y == line.base.y + p.x * m
+    y = b + x*m, or p.x == c for a vertical line x = c."""
+    m = line._m
+    if m is None:
+        return p.x == line._b
+    return p.y == line._b + p.x * m
 
 
 def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
@@ -187,17 +201,17 @@ def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
     x = (b2 - b1) * (m1 - m2)^-1: the parameter acts on the left, so the
     inverse divides on the right.
     """
-    if l1.direction == l2.direction:
-        if l1.base == l2.base:
+    if is_parallel(l1, l2):
+        if l1._b == l2._b:
             raise IdenticalLinesError(f"line {l1} intersected with itself")
         raise ParallelLinesError(f"{l1} and {l2} are parallel and disjoint")
-    if l1.direction[0].is_zero():
+    if l1._m is None:
         l1, l2 = l2, l1
-    b1, m1 = l1.base.y, l1.direction[1]
-    if l2.direction[0].is_zero():
-        x = l2.base.x
+    b1, m1 = l1._b, l1._m
+    if l2._m is None:
+        x = l2._b
     else:
-        x = (l2.base.y - b1) * (m1 - l2.direction[1]).inverse()
+        x = (l2._b - b1) * (m1 - l2._m).inverse()
     point = _point(x, b1 + x * m1)
     # the point is solved exactly from both lines, so only a bug misses one
     if not (on_line(point, l1) and on_line(point, l2)):  # pragma: no cover

@@ -91,24 +91,36 @@ class TestCanonicalForm:
     def test_parallel_through_reuses_the_direction(self, case):
         base, direction, p = case
         line = PlaneLine(base, direction)
-        through = parallel_through(p, line)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counts = count_ops(monkeypatch, type(p.x))
+            through = parallel_through(p, line)
+        # the slope is reused: one product and one difference for the
+        # intercept of a non-vertical line, no arithmetic for a vertical one
+        vertical = direction[0].is_zero()
+        assert counts == (Counter() if vertical else Counter({"__mul__": 1, "__sub__": 1}))
         expected = PlaneLine(p, line.direction)
-        assert through.direction is line.direction
+        assert through.direction == line.direction
         assert_same_line(through, expected.base, expected.direction)
 
 
-def count_rational_ops(monkeypatch):
-    """Count the Rational operator calls, whichever class defines them."""
+def count_ops(monkeypatch, scalar_class):
+    """Count the operator calls of one scalar class, whichever class
+    defines them."""
     counts = Counter()
     for name in ("__add__", "__sub__", "__neg__", "__mul__", "inverse"):
-        original = getattr(Rational, name)
+        original = getattr(scalar_class, name)
 
         def counted(*args, _name=name, _original=original):
             counts[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(Rational, name, counted)
+        monkeypatch.setattr(scalar_class, name, counted)
     return counts
+
+
+def count_rational_ops(monkeypatch):
+    """Count the Rational operator calls, whichever class defines them."""
+    return count_ops(monkeypatch, Rational)
 
 
 q = Rational

@@ -73,6 +73,12 @@ class TestFrame:
         with pytest.raises(CoincidentPointsError):
             LineFrame(rp(1, 1), rp(1, 1))
 
+    def test_frame_points_must_be_points(self):
+        o, i = (Rational(0), Rational(0)), (Rational(1), Rational(0))
+        for origin, unit in ((o, i), (rp(0, 0), i), (o, rp(1, 0))):
+            with pytest.raises(TypeError, match="^expected a PlanePoint, got tuple$"):
+                LineFrame(origin, unit)
+
     def test_skew_frame_roundtrip(self, rng):
         frame = LineFrame(rp(1, 1), rp(2, 3))
         field = RationalField()

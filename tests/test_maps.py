@@ -82,6 +82,13 @@ class TestBaseValidation:
         with pytest.raises(InvalidBaseError):
             CrossRatioBase(Family.A, (Rational(1), Rational(2)))
 
+    def test_points_are_copied_into_a_tuple(self):
+        points = [Rational(1), Rational(2), Rational(3)]
+        base = CrossRatioBase(Family.A, points)
+        points[0] = Rational(5)
+        assert base.points == (Rational(1), Rational(2), Rational(3))
+        assert hash(base) == hash(rational_base(Family.A, 1, 2, 3))
+
     @pytest.mark.parametrize("family", ["A", None, 0])
     def test_family_must_be_a_family(self, family):
         with pytest.raises(TypeError, match="^a cross-ratio base's family must be a Family"):

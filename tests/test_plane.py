@@ -222,6 +222,18 @@ class TestMixedBackends:
             with pytest.raises(BackendMismatchError):
                 intersect(l2, line_through(j, i))
 
+    def test_vertical_lines(self, first, second):
+        o, i, j, r = frame_points(first)
+        o2, i2, j2, r2 = frame_points(second)
+        vertical = line_through(o, j)
+        for other in (line_through(o2, j2), line_through(o2, r2), line_through(o2, i2)):
+            for l1, l2 in ((vertical, other), (other, vertical)):
+                for compare in (is_parallel, intersect, PlaneLine.__eq__):
+                    with pytest.raises(BackendMismatchError):
+                        compare(l1, l2)
+        with pytest.raises(BackendMismatchError):
+            on_line(r2, vertical)
+
     def test_translate(self, first, second):
         p, q = frame_points(first)[3], frame_points(second)[3]
         with pytest.raises(BackendMismatchError):
@@ -262,6 +274,11 @@ class TestConstructorsTakeScalarsOnly:
         for direction in ((Rational(1), bad), (bad, Rational(1)), (bad, bad)):
             with pytest.raises(TypeError, match="^expected a scalar, got "):
                 PlaneLine(rp(1, 2), direction)
+
+    def test_line_base_must_be_a_point(self):
+        for base in ((Rational(1), Rational(2)), Rational(1), None):
+            with pytest.raises(TypeError, match="^expected a PlanePoint, got "):
+                PlaneLine(base, (Rational(1), Rational(0)))
 
 
 class TestIncidence:
