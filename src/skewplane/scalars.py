@@ -23,17 +23,19 @@ or sets: ``3 in {Rational(3)}`` is False although ``Rational(3) == 3``.
 
 Rationals, and quaternions too, do their arithmetic on plain integers: a
 rational is a numerator over a positive denominator with no common
-factor, a quaternion four numerators over one positive common
-denominator that shares no factor with all of them (canonical forms).
-Only the quaternion component views import ``fractions``.
+factor, a quaternion one tuple ``(a, b, c, e, d)`` of four numerators over
+a positive common denominator d that shares no factor with all of them
+(canonical forms).  Only the quaternion component views import
+``fractions``.
 
-Only the public constructors validate their arguments.  Arithmetic builds
-each result in one step: it computes the canonical form itself, writes
-the slots through their slot descriptors, past both the constructor's
-checks and :class:`Immutable`'s guard, and takes an operand of its own
-class as it is, without the ``_coerce`` call that an ``int`` or an
-alien operand goes through.  ``_from_int``, the embedding of an int into
-a value's backend, builds without validating too.
+Only the public constructors validate their arguments.  Each operator
+builds its result in its own frame: it computes the canonical form
+itself, dividing by the gcd only when that is not 1, writes the slots
+through their slot descriptors, past both the constructor's checks and
+:class:`Immutable`'s guard, and takes an operand of its own class as it
+is, without the ``_coerce`` call that an ``int`` or an alien operand goes
+through.  ``_from_int``, the embedding of an int into a value's backend,
+builds without validating too.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
 RationalLike = Union[int, "Fraction"]
 
 _new = object.__new__
+_gcd = math.gcd
 
 
 def _ratio(value, denominator=1) -> tuple:
@@ -241,14 +244,6 @@ class Rational(SkewScalar):
         return out
 
     @staticmethod
-    def _wrap(n: int, d: int) -> "Rational":
-        """The value n / d, which must already be canonical."""
-        out = _new(Rational)
-        _set_numerator(out, n)
-        _set_denominator(out, d)
-        return out
-
-    @staticmethod
     def _reduce(n: int, d: int) -> "Rational":
         """The value n / d for d > 0, divided by their gcd."""
         g = math.gcd(n, d)
@@ -261,7 +256,10 @@ class Rational(SkewScalar):
         return (self.numerator, self.denominator)
 
     def _from_int(self, n: int) -> "Rational":
-        return Rational._wrap(int(n), 1)  # canonical as it is
+        out = _new(Rational)
+        _set_numerator(out, int(n))  # n / 1 is canonical as it is
+        _set_denominator(out, 1)
+        return out
 
     def __add__(self, other):
         if other.__class__ is not Rational:
@@ -269,7 +267,14 @@ class Rational(SkewScalar):
             if other is None:
                 return NotImplemented
         d1, d2 = self.denominator, other.denominator
-        return Rational._reduce(self.numerator * d2 + other.numerator * d1, d1 * d2)
+        n, d = self.numerator * d2 + other.numerator * d1, d1 * d2
+        g = _gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
+        out = _new(Rational)
+        _set_numerator(out, n)
+        _set_denominator(out, d)
+        return out
 
     def __sub__(self, other):
         if other.__class__ is not Rational:
@@ -277,24 +282,43 @@ class Rational(SkewScalar):
             if other is None:
                 return NotImplemented
         d1, d2 = self.denominator, other.denominator
-        return Rational._reduce(self.numerator * d2 - other.numerator * d1, d1 * d2)
+        n, d = self.numerator * d2 - other.numerator * d1, d1 * d2
+        g = _gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
+        out = _new(Rational)
+        _set_numerator(out, n)
+        _set_denominator(out, d)
+        return out
 
     def __neg__(self):
-        return Rational._wrap(-self.numerator, self.denominator)
+        out = _new(Rational)
+        _set_numerator(out, -self.numerator)
+        _set_denominator(out, self.denominator)
+        return out
 
     def __mul__(self, other):
         if other.__class__ is not Rational:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return Rational._reduce(self.numerator * other.numerator,
-                                self.denominator * other.denominator)
+        n, d = self.numerator * other.numerator, self.denominator * other.denominator
+        g = _gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
+        out = _new(Rational)
+        _set_numerator(out, n)
+        _set_denominator(out, d)
+        return out
 
     def inverse(self) -> "Rational":
         n, d = self.numerator, self.denominator
         if not n:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        return Rational._wrap(d, n) if n > 0 else Rational._wrap(-d, -n)
+        out = _new(Rational)
+        _set_numerator(out, d if n > 0 else -d)
+        _set_denominator(out, n if n > 0 else -n)
+        return out
 
     def is_zero(self) -> bool:
         return not self.numerator
@@ -336,18 +360,12 @@ class PrimeFieldElement(SkewScalar):
     def __init__(self, residue: int, modulus: int):
         if not isinstance(residue, int) or isinstance(residue, bool):
             raise TypeError("residue must be an int")
-        if not isinstance(modulus, int) or modulus < 2:
+        if not isinstance(modulus, int) or isinstance(modulus, bool):
+            raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
+        if modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
         _set_modulus(self, modulus)
         _set_residue(self, residue % modulus)
-
-    @staticmethod
-    def _wrap(residue: int, modulus: int) -> "PrimeFieldElement":
-        """The residue class of ``residue``, which must already be in [0, modulus)."""
-        out = _new(PrimeFieldElement)
-        _set_residue(out, residue)
-        _set_modulus(out, modulus)
-        return out
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
@@ -363,7 +381,10 @@ class PrimeFieldElement(SkewScalar):
 
     def _from_int(self, n: int) -> "PrimeFieldElement":
         m = self.modulus
-        return PrimeFieldElement._wrap(int(n) % m, m)
+        out = _new(PrimeFieldElement)
+        _set_residue(out, int(n) % m)
+        _set_modulus(out, m)
+        return out
 
     def __add__(self, other):
         m = self.modulus
@@ -371,7 +392,10 @@ class PrimeFieldElement(SkewScalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return PrimeFieldElement._wrap((self.residue + other.residue) % m, m)
+        out = _new(PrimeFieldElement)
+        _set_residue(out, (self.residue + other.residue) % m)
+        _set_modulus(out, m)
+        return out
 
     def __sub__(self, other):
         m = self.modulus
@@ -379,11 +403,17 @@ class PrimeFieldElement(SkewScalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return PrimeFieldElement._wrap((self.residue - other.residue) % m, m)
+        out = _new(PrimeFieldElement)
+        _set_residue(out, (self.residue - other.residue) % m)
+        _set_modulus(out, m)
+        return out
 
     def __neg__(self):
         m = self.modulus
-        return PrimeFieldElement._wrap(-self.residue % m, m)
+        out = _new(PrimeFieldElement)
+        _set_residue(out, -self.residue % m)
+        _set_modulus(out, m)
+        return out
 
     def __mul__(self, other):
         m = self.modulus
@@ -391,13 +421,19 @@ class PrimeFieldElement(SkewScalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return PrimeFieldElement._wrap(self.residue * other.residue % m, m)
+        out = _new(PrimeFieldElement)
+        _set_residue(out, self.residue * other.residue % m)
+        _set_modulus(out, m)
+        return out
 
     def inverse(self) -> "PrimeFieldElement":
         m = self.modulus
         if self.residue == 0:
             raise ZeroInverseError(f"0 mod {m} has no inverse")
-        return PrimeFieldElement._wrap(pow(self.residue, -1, m), m)
+        out = _new(PrimeFieldElement)
+        _set_residue(out, pow(self.residue, -1, m))
+        _set_modulus(out, m)
+        return out
 
     def is_zero(self) -> bool:
         return self.residue == 0
@@ -423,46 +459,38 @@ _set_modulus = PrimeFieldElement.modulus.__set__
 class RationalQuaternion(SkewScalar):
     """A quaternion w + x*i + y*j + z*k with exact rational coefficients.
 
-    The value is stored as four integers ``_n`` over one positive
-    denominator ``_d`` whose gcd with all four is 1 (zero is
-    ``((0, 0, 0, 0), 1)``), so the form is canonical and equality compares
-    integers.  Each operation reduces its result with at most one gcd.
-    ``w``, ``x``, ``y``, ``z`` and ``components()`` are exact rational
-    views; the hash is that of the canonical ``(_n, _d)``.  The norm
+    The value is stored as one tuple ``_v = (a, b, c, e, d)``: four
+    integers over one positive denominator d whose gcd with all four is 1
+    (zero is ``(0, 0, 0, 0, 1)``), so the form is canonical, ``_v`` is the
+    key, and equality and the hash are those of one tuple of ints.  Each
+    operation reduces its result with at most one gcd.  ``w``, ``x``, ``y``,
+    ``z`` and ``components()`` are exact rational views.  The norm
     w^2 + x^2 + y^2 + z^2 vanishes only at zero, which guarantees every
     nonzero element is invertible: q^-1 = conjugate(q) / norm(q), exactly.
     Multiplication follows the Hamilton table (i*j = k, j*i = -k, ...)
     and is the package's working witness of non-commutativity.
     """
 
-    __slots__ = ("_n", "_d")
+    __slots__ = ("_v",)
 
     def __init__(self, w: RationalLike = 0, x: RationalLike = 0,
                  y: RationalLike = 0, z: RationalLike = 0):
         parts = [_ratio(c) for c in (w, x, y, z)]
         # reduced components: the lcm of their denominators is already canonical
         d = math.lcm(*(q for _, q in parts))
-        _set_quaternion_n(self, tuple(p * (d // q) for p, q in parts))
-        _set_quaternion_d(self, d)
+        _set_quaternion(self, (*(p * (d // q) for p, q in parts), d))
 
     @staticmethod
     def _wrap(n, d) -> "RationalQuaternion":
-        """The value n / d, which must already be canonical."""
+        """The value n / d, n four numerators, which must already be canonical."""
         out = _new(RationalQuaternion)
-        _set_quaternion_n(out, n)
-        _set_quaternion_d(out, d)
+        _set_quaternion(out, (*n, d))
         return out
 
-    @staticmethod
-    def _reduce(a, b, c, e, d) -> "RationalQuaternion":
-        """The value (a, b, c, e) / d for d > 0, divided by their one gcd."""
-        g = math.gcd(a, b, c, e, d)
-        if g != 1:
-            a, b, c, e, d = a // g, b // g, c // g, e // g, d // g
-        out = _new(RationalQuaternion)
-        _set_quaternion_n(out, (a, b, c, e))
-        _set_quaternion_d(out, d)
-        return out
+    def __setstate__(self, state):
+        """Restore ``{'_v': ...}``, or the earlier ``{'_n': ..., '_d': ...}``."""
+        slots = state[1]
+        _set_quaternion(self, slots["_v"] if "_v" in slots else (*slots["_n"], slots["_d"]))
 
     w = property(lambda self: self.components()[0], doc="The real part.")
     x = property(lambda self: self.components()[1], doc="The i coefficient.")
@@ -472,95 +500,108 @@ class RationalQuaternion(SkewScalar):
     def components(self):
         """The (w, x, y, z) coefficients as exact rationals."""
         from fractions import Fraction
-        return tuple(Fraction(a, self._d) for a in self._n)
+        *n, d = self._v
+        return tuple(Fraction(a, d) for a in n)
 
     def _key(self):
-        return (self._n, self._d)
+        return self._v
 
     def _from_int(self, n: int) -> "RationalQuaternion":
-        return RationalQuaternion._wrap((int(n), 0, 0, 0), 1)  # canonical as it is
+        out = _new(RationalQuaternion)
+        _set_quaternion(out, (int(n), 0, 0, 0, 1))  # canonical as it is
+        return out
 
     def __add__(self, other):
         if other.__class__ is not RationalQuaternion:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, c, e = self._n
-        f, g, h, k = other._n
-        d1, d2 = self._d, other._d
-        return RationalQuaternion._reduce(a * d2 + f * d1, b * d2 + g * d1,
-                                          c * d2 + h * d1, e * d2 + k * d1, d1 * d2)
+        a, b, c, e, d1 = self._v
+        f, g, h, k, d2 = other._v
+        w, x, y, z, d = (a * d2 + f * d1, b * d2 + g * d1, c * d2 + h * d1,
+                         e * d2 + k * d1, d1 * d2)
+        n = _gcd(w, x, y, z, d)
+        out = _new(RationalQuaternion)
+        _set_quaternion(out, (w, x, y, z, d) if n == 1 else
+                        (w // n, x // n, y // n, z // n, d // n))
+        return out
 
     def __sub__(self, other):
         if other.__class__ is not RationalQuaternion:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, c, e = self._n
-        f, g, h, k = other._n
-        d1, d2 = self._d, other._d
-        return RationalQuaternion._reduce(a * d2 - f * d1, b * d2 - g * d1,
-                                          c * d2 - h * d1, e * d2 - k * d1, d1 * d2)
+        a, b, c, e, d1 = self._v
+        f, g, h, k, d2 = other._v
+        w, x, y, z, d = (a * d2 - f * d1, b * d2 - g * d1, c * d2 - h * d1,
+                         e * d2 - k * d1, d1 * d2)
+        n = _gcd(w, x, y, z, d)
+        out = _new(RationalQuaternion)
+        _set_quaternion(out, (w, x, y, z, d) if n == 1 else
+                        (w // n, x // n, y // n, z // n, d // n))
+        return out
 
     def __neg__(self):
-        a, b, c, e = self._n
-        return RationalQuaternion._wrap((-a, -b, -c, -e), self._d)
+        a, b, c, e, d = self._v
+        out = _new(RationalQuaternion)
+        _set_quaternion(out, (-a, -b, -c, -e, d))
+        return out
 
     def __mul__(self, other):
         if other.__class__ is not RationalQuaternion:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, c, d = self._n
-        e, f, g, h = other._n
-        return RationalQuaternion._reduce(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-            self._d * other._d,
-        )
-
-    def norm(self):
-        """The reduced norm w^2 + x^2 + y^2 + z^2 (an exact rational)."""
-        from fractions import Fraction
-        a, b, c, e = self._n
-        return Fraction(a * a + b * b + c * c + e * e, self._d * self._d)
+        a, b, c, e, d1 = self._v
+        f, g, h, k, d2 = other._v
+        w, x, y, z, d = (a * f - b * g - c * h - e * k, a * g + b * f + c * k - e * h,
+                         a * h - b * k + c * f + e * g, a * k + b * h - c * g + e * f, d1 * d2)
+        n = _gcd(w, x, y, z, d)
+        out = _new(RationalQuaternion)
+        _set_quaternion(out, (w, x, y, z, d) if n == 1 else
+                        (w // n, x // n, y // n, z // n, d // n))
+        return out
 
     def conjugate(self) -> "RationalQuaternion":
-        a, b, c, e = self._n
-        return RationalQuaternion._wrap((a, -b, -c, -e), self._d)
+        a, b, c, e, d = self._v
+        out = _new(RationalQuaternion)
+        _set_quaternion(out, (a, -b, -c, -e, d))
+        return out
 
     def inverse(self) -> "RationalQuaternion":
-        a, b, c, e = self._n
+        a, b, c, e, d = self._v
         n = a * a + b * b + c * c + e * e
         if not n:
             raise ZeroInverseError("zero quaternion has no inverse")
-        d = self._d
-        return RationalQuaternion._reduce(a * d, -b * d, -c * d, -e * d, n)
+        w, x, y, z = a * d, -b * d, -c * d, -e * d
+        g = _gcd(w, x, y, z, n)
+        out = _new(RationalQuaternion)
+        _set_quaternion(out, (w, x, y, z, n) if g == 1 else
+                        (w // g, x // g, y // g, z // g, n // g))
+        return out
 
     def is_zero(self) -> bool:
-        return not any(self._n)
+        return self._v == (0, 0, 0, 0, 1)  # the canonical zero
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalQuaternion):  # fast path of the base rule
-            return self._d == other._d and self._n == other._n
+            return self._v == other._v
         return super().__eq__(other)
 
-    __hash__ = SkewScalar.__hash__
+    def __hash__(self):
+        return hash(self._v)
 
     def __str__(self) -> str:
         """``(w,x,y,z)``, each component the rational ``Rational.__str__``
         prints, so in lowest terms, and past the digit limit a UsageError."""
-        d = self._d
-        return "({},{},{},{})".format(*(Rational._reduce(a, d) for a in self._n))
+        *n, d = self._v
+        return "({},{},{},{})".format(*(Rational._reduce(a, d) for a in n))
 
     def __repr__(self) -> str:
         return f"RationalQuaternion{self.components()}"
 
 
-_set_quaternion_n = RationalQuaternion._n.__set__
-_set_quaternion_d = RationalQuaternion._d.__set__
+_set_quaternion = RationalQuaternion._v.__set__
 
 
 def ensure_same_backend(first: SkewScalar, *rest: SkewScalar) -> None:
@@ -676,7 +717,9 @@ class PrimeField(ScalarField):
     finite = True
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TypeError(f"GF modulus must be an int, got {type(p).__name__}")
+        if not is_prime(p):
             raise ValueError(f"GF modulus must be prime, got {p!r}")
         self.p = p
         self.name = f"gfp({p})"
@@ -685,7 +728,7 @@ class PrimeField(ScalarField):
         return PrimeFieldElement(n, self.p)
 
     def random_element(self, rng) -> PrimeFieldElement:
-        return PrimeFieldElement._wrap(rng.randrange(self.p), self.p)
+        return PrimeFieldElement(rng.randrange(self.p), self.p)
 
     def elements(self) -> Iterator[PrimeFieldElement]:
         for residue in range(self.p):

@@ -330,7 +330,7 @@ def are_conjugate(a, b):
     """a and b are conjugate: equal real part and norm over the
     quaternions, equal on a commutative backend."""
     if isinstance(a, RationalQuaternion):
-        return a.w == b.w and a.norm() == b.norm()
+        return a.w == b.w and a * a.conjugate() == b * b.conjugate()
     return a == b
 
 

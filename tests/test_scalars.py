@@ -80,6 +80,21 @@ class TestRational:
         assert 2 * Rational(1, 2) == Rational(1)
         assert 1 - Rational(1, 3) == Rational(2, 3)
 
+    # per operator, a result whose gcd is 1 and one whose gcd is above 1,
+    # so both of its write paths run whatever hypothesis draws
+    @pytest.mark.parametrize("f, operation, g", [
+        (Fraction(1, 2), add, Fraction(1, 3)),  # 5/6
+        (Fraction(1, 6), add, Fraction(1, 3)),  # 9/18
+        (Fraction(1, 2), sub, Fraction(1, 3)),  # 1/6
+        (Fraction(5, 6), sub, Fraction(1, 3)),  # 9/18
+        (Fraction(2, 3), operator.mul, Fraction(5, 7)),  # 10/21
+        (Fraction(2, 3), operator.mul, Fraction(3, 4)),  # 6/12
+    ])
+    def test_both_gcd_paths_match_fractions(self, f, operation, g):
+        result, want = operation(Rational(f), Rational(g)), operation(f, g)
+        assert result.denominator > 0 and math.gcd(result.numerator, result.denominator) == 1
+        assert (result.numerator, result.denominator) == (want.numerator, want.denominator)
+
 
 def _results(a, b):
     """``a + b``, ``a - b``, ``-a``, ``a * b`` and, unless a is zero, a^-1;
@@ -128,6 +143,14 @@ class TestPrimeField:
             PrimeFieldElement("1", 5)
         with pytest.raises(ValueError, match="^modulus must be an integer >= 2, got 1$"):
             PrimeFieldElement(1, 1)
+
+    @pytest.mark.parametrize("bad", ["7", 7.0, True, None, Fraction(7)],
+                             ids=["str", "float", "bool", "None", "Fraction"])
+    def test_non_int_moduli_are_type_errors(self, bad):
+        with pytest.raises(TypeError, match="^GF modulus must be an int, got "):
+            PrimeField(bad)
+        with pytest.raises(TypeError, match="^modulus must be an int, got "):
+            PrimeFieldElement(3, bad)
 
     @pytest.mark.parametrize("bad", [-5, 0, 1, 4, 6, 9, 15])
     def test_composite_or_small_moduli_rejected(self, bad):
@@ -213,7 +236,7 @@ class TestQuaternion:
         from fractions import Fraction
 
         q = RationalQuaternion(1, 2, Rational(1, 2), 0)
-        assert q.norm() == Fraction(21, 4)  # 1 + 4 + 1/4
+        assert (q * q.conjugate()).components() == (Fraction(21, 4), 0, 0, 0)  # 1 + 4 + 1/4
         assert q * q.inverse() == RationalQuaternion(1)
 
     def test_zero_has_no_inverse(self):
@@ -249,7 +272,7 @@ PROTOCOL_CASES = {
     "rational": (RationalField(), Rational(6, 2), hash((3, 1)), "numerator"),
     "gfp(5)": (PrimeField(5), PrimeFieldElement(8, 5), hash((3, 5)), "residue"),
     "quaternion": (QuaternionField(), RationalQuaternion(Rational(6, 2)),
-                   hash(((3, 0, 0, 0), 1)), "w"),
+                   hash((3, 0, 0, 0, 1)), "w"),
 }
 #: One field per backend, GF(5) and GF(7) counting as two.
 FIELDS = [RationalField(), PrimeField(5), PrimeField(7), QuaternionField()]
@@ -390,8 +413,9 @@ def _hamilton(p, q):
 
 
 def _canonical(q):
-    """``q`` after checking its integer form: d > 0, gcd of all five is 1."""
-    assert q._d > 0 and math.gcd(*q._n, q._d) == 1
+    """``q`` after checking its integer form: five ints, d > 0, gcd of all five is 1."""
+    assert len(q._v) == 5 and all(type(part) is int for part in q._v)
+    assert q._v[4] > 0 and math.gcd(*q._v) == 1
     return q
 
 
@@ -408,10 +432,35 @@ class TestQuaternionStorage:
         assert _canonical(-a).components() == tuple(-c for c in p)
         assert _canonical(a * b).components() == _hamilton(p, q)
         assert _canonical(a.conjugate()).components() == conj
-        assert a.norm() == norm and type(a.norm()) is type(a.w)
+        assert _canonical(a * a.conjugate()).components() == (norm, 0, 0, 0)
         if norm:
             assert _canonical(a.inverse()).components() == tuple(c / norm for c in conj)
         assert (a.w, a.x, a.y, a.z) == a.components() == p
+
+    # per operator, a result whose gcd is 1 and one whose gcd is above 1,
+    # so both of its write paths run whatever hypothesis draws; the comment
+    # is the result (w, x, y, z, d) before it is divided by that gcd
+    @pytest.mark.parametrize("p, operation, q", [
+        ((Fraction(1, 2), 0, 0, 0), add, (0, Fraction(1, 3), 0, 0)),  # (3, 2, 0, 0, 6)
+        ((Fraction(1, 2), 0, 0, 0), add, (Fraction(1, 2), 0, 0, 0)),  # (4, 0, 0, 0, 4)
+        ((Fraction(1, 2), 0, 0, 0), sub, (0, Fraction(1, 3), 0, 0)),  # (3, -2, 0, 0, 6)
+        ((Fraction(1, 2), 1, 0, 0), sub, (Fraction(1, 2), 0, 0, 0)),  # (0, 4, 0, 0, 4)
+        ((0, 1, 0, 0), operator.mul, (0, 0, 1, 0)),  # (0, 0, 0, 1, 1)
+        ((Fraction(1, 2), Fraction(1, 2), 0, 0), operator.mul, (1, 1, 0, 0)),  # (0, 2, 0, 0, 2)
+        ((1, 1, 0, 0), "inverse", None),  # (1, -1, 0, 0, 2)
+        ((2, 2, 0, 0), "inverse", None),  # (2, -2, 0, 0, 8)
+    ])
+    def test_both_gcd_paths_match_fraction_reference(self, p, operation, q):
+        p = tuple(map(Fraction, p))
+        if operation == "inverse":
+            norm = sum(c * c for c in p)
+            result = RationalQuaternion(*p).inverse()
+            want = (p[0] / norm, -p[1] / norm, -p[2] / norm, -p[3] / norm)
+        else:
+            result = operation(RationalQuaternion(*p), RationalQuaternion(*q))
+            want = (_hamilton(p, q) if operation is operator.mul
+                    else tuple(map(operation, p, q)))
+        assert _canonical(result).components() == want
 
     @given(fraction_quads, st.one_of(fraction_quads, st.integers(-10 ** 6, 10 ** 6)))
     def test_results_are_canonical_and_immutable(self, p, q):
@@ -424,7 +473,7 @@ class TestQuaternionStorage:
         if not a.is_zero():
             expected.append(a.inverse())
         for result, want in zip(_results(a, operand), expected, strict=True):
-            _assert_built(_canonical(result), RationalQuaternion, "_n")
+            _assert_built(_canonical(result), RationalQuaternion, "_v")
             assert result.components() == want.components()
         for alien in (PrimeFieldElement(1, 5), Rational(1)):
             for operation in (add, sub, operator.mul):
@@ -432,7 +481,8 @@ class TestQuaternionStorage:
                     operation(a, alien)
 
     #: pickle.dumps(RationalQuaternion(Fraction(1, 2), -3, Fraction(5, 6), 0)),
-    #: protocol 4, with ``_wrap`` a staticmethod and, earlier, a classmethod.
+    #: protocol 4, with ``_wrap`` a staticmethod and, earlier, a classmethod,
+    #: then stored as the slots ``_n = (3, -18, 5, 0)`` and ``_d = 6``.
     PICKLES = (
         b"\x80\x04\x95F\x00\x00\x00\x00\x00\x00\x00\x8c\x11skewplane.scalars"
         b"\x94\x8c\x18RationalQuaternion._wrap\x94\x93\x94(K\x03J\xee\xff\xff\xff"
@@ -441,14 +491,17 @@ class TestQuaternionStorage:
         b"getattr\x94\x93\x94\x8c\x11skewplane.scalars\x94\x8c\x12RationalQuaternion"
         b"\x94\x93\x94\x8c\x05_wrap\x94\x86\x94R\x94(K\x03J\xee\xff\xff\xffK\x05K"
         b"\x00t\x94K\x06\x86\x94R\x94.",
+        b"\x80\x04\x95Q\x00\x00\x00\x00\x00\x00\x00\x8c\x11skewplane.scalars\x94\x8c"
+        b"\x12RationalQuaternion\x94\x93\x94)\x81\x94N}\x94(\x8c\x02_n\x94(K\x03J\xee"
+        b"\xff\xff\xffK\x05K\x00t\x94\x8c\x02_d\x94K\x06u\x86\x94b.",
     )
 
-    @pytest.mark.parametrize("data", PICKLES, ids=["staticmethod", "classmethod"])
+    @pytest.mark.parametrize("data", PICKLES, ids=["staticmethod", "classmethod", "two-slots"])
     def test_stored_pickles_load(self, data):
         value = pickle.loads(data)
         assert type(value) is RationalQuaternion
         assert _canonical(value) == RationalQuaternion(Fraction(1, 2), -3, Fraction(5, 6))
-        assert (value._n, value._d) == ((3, -18, 5, 0), 6)
+        assert value._v == (3, -18, 5, 0, 6)
         assert pickle.loads(pickle.dumps(value)) == value
 
     @given(fraction_quads, fraction_quads)
@@ -466,7 +519,7 @@ class TestQuaternionStorage:
             routes.append((a * a.inverse(), RationalQuaternion(1)))
         for first, second in routes:
             assert first == second and hash(first) == hash(second)
-        assert hash(a) == hash(a._key()) == hash((a._n, a._d))
+        assert hash(a) == hash(a._key()) == hash(a._v)
 
     @given(fraction_quads)
     @example((Fraction(0), Fraction(-7), Fraction(3), Fraction(0)))
@@ -489,7 +542,7 @@ class TestQuaternionStorage:
     @given(fraction_quads)
     def test_copies_and_pickles_stay_equal_and_hash_equal(self, p):
         a = RationalQuaternion(*p)
-        assert RationalQuaternion.__slots__ == ("_n", "_d")  # no hash memo
+        assert RationalQuaternion.__slots__ == ("_v",)  # no hash memo
         for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
             assert type(twin) is RationalQuaternion
             assert twin == a and hash(twin) == hash(a) == hash(a._key())
