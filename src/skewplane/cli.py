@@ -246,8 +246,16 @@ def _cmd_selftest(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose errors, its subparsers' included, end in
+    the one ``error[UsageError]: message`` line and exit 2 of the contract."""
+
+    def error(self, message: str):
+        self.exit(_report(UsageError(message), EXIT_USAGE))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewplane",
         description="Exact Desargues-plane constructions, ratios and "
                     "cross-ratio map verification.")

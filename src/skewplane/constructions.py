@@ -41,6 +41,7 @@ from .plane import (
     Direction,
     PlaneLine,
     PlanePoint,
+    _point,
     intersect,
     is_parallel,
     line_through,
@@ -310,7 +311,7 @@ def generate_desargues_config(field: ScalarField, variant: str,
     rng = random.Random(seed)
 
     def random_point() -> PlanePoint:
-        return PlanePoint(field.random_element(rng), field.random_element(rng))
+        return _point(field.random_element(rng), field.random_element(rng))
 
     for _ in range(10_000):
         a, b, c = random_point(), random_point(), random_point()

@@ -26,8 +26,12 @@ embed an int in), and all of one backend (else BackendMismatchError).
 The primitives build each point and line in one step from their own
 arithmetic, which already raises BackendMismatchError on mixed backends:
 ``_point`` writes a point's slots, and ``PlaneLine._set`` a line's,
-past the constructors' checks.  ``parallel_through`` and ``is_parallel``
-check the backends only for a vertical line, which needs no arithmetic.
+through the slot descriptors and past the constructors' checks.
+``parallel_through`` and ``is_parallel`` check the backends only for a
+vertical line, which needs no arithmetic.  Internal draws are built
+values too, like ``_from_int``: a field's ``random_element`` returns a
+canonical scalar, and the Desargues generator builds its random points
+with ``_point`` from two draws of one field.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ class PlanePoint(Immutable, Record):
     # written out rather than derived: every construction step calls these
     def __init__(self, x: SkewScalar, y: SkewScalar):
         ensure_same_backend(x, y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -121,8 +125,8 @@ class PlaneLine(Immutable):
 
     def _set(self, b: SkewScalar, m) -> "PlaneLine":
         """Write the slots: the intercept and slope, or c and None."""
-        object.__setattr__(self, "_b", b)
-        object.__setattr__(self, "_m", m)
+        _set_b(self, b)
+        _set_m(self, m)
         return self
 
     @property
@@ -141,13 +145,17 @@ class PlaneLine(Immutable):
         return is_parallel(self, other) and self._b == other._b
 
     def __hash__(self):
-        return hash((self.base, self.direction))
+        return hash((self._b, self._m))  # equal lines have equal slots
 
     def __str__(self) -> str:
         return f"{{base={self.base}, dir=({self.direction[0]},{self.direction[1]})}}"
 
     def __repr__(self) -> str:
         return f"PlaneLine(base={self.base!r}, direction={self.direction!r})"
+
+
+_set_b = PlaneLine._b.__set__
+_set_m = PlaneLine._m.__set__
 
 
 def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:

@@ -35,7 +35,8 @@ through their slot descriptors, past both the constructor's checks and
 :class:`Immutable`'s guard, and takes an operand of its own class as it
 is, without the ``_coerce`` call that an ``int`` or an alien operand goes
 through.  ``_from_int``, the embedding of an int into a value's backend,
-builds without validating too.
+builds without validating too, and so does ``PrimeField.random_element``,
+whose draw from ``range(p)`` is already a canonical residue.
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ def _ratio(value, denominator=1) -> tuple:
 class Immutable:
     """Slotted values that refuse assignment and deletion of attributes.
 
-    Constructors and arithmetic write their slots past the guard, through
-    the slot descriptors' ``__set__`` or ``object.__setattr__``; copy and
-    pickle, with every protocol, take the slots by ``__getstate__`` and
-    restore them through ``__setstate__``.
+    Constructors, arithmetic and the records' ``_init`` write their slots
+    past the guard, each through its slot descriptor's ``__set__``; copy
+    and pickle, with every protocol, take the slots by ``__getstate__``
+    and restore them through ``__setstate__``, which writes them with
+    ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -112,17 +114,24 @@ class Record:
     Derives ``==`` (records of the same class, field by field, else
     ``NotImplemented``), a hash over the field tuple and the repr
     ``Name(field=value, ...)``.  A frozen record also derives from
-    :class:`Immutable`; a mutable one sets ``__hash__ = None``.
+    :class:`Immutable`; a mutable one sets ``__hash__ = None``.  Each
+    subclass keeps ``_setters``, the ``__set__`` of its slot descriptors
+    in field order, through which ``_init`` writes a frozen record.
     """
 
     __slots__ = ()
 
     __getstate__ = Immutable.__getstate__
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def _init(self, *values) -> None:
-        """Write a frozen record's fields, past :class:`Immutable`'s guard."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        """Write a frozen record's first ``len(values)`` fields, past
+        :class:`Immutable`'s guard."""
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -728,7 +737,10 @@ class PrimeField(ScalarField):
         return PrimeFieldElement(n, self.p)
 
     def random_element(self, rng) -> PrimeFieldElement:
-        return PrimeFieldElement(rng.randrange(self.p), self.p)
+        out = _new(PrimeFieldElement)
+        _set_residue(out, rng.randrange(self.p))  # in range: canonical as drawn
+        _set_modulus(out, self.p)
+        return out
 
     def elements(self) -> Iterator[PrimeFieldElement]:
         for residue in range(self.p):

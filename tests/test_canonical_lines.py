@@ -58,7 +58,7 @@ GF5_VERTICAL = (PlanePoint(PrimeFieldElement(3, 5), PrimeFieldElement(4, 5)),
 
 def assert_same_line(line, anchor, direction):
     assert line.base == anchor and line.direction == direction
-    assert hash(line) == hash((anchor, direction))
+    assert hash(line) == hash(PlaneLine(anchor, direction))  # equal lines hash alike
     assert str(line) == f"{{base={anchor}, dir=({direction[0]},{direction[1]})}}"
     assert repr(line) == f"PlaneLine(base={anchor!r}, direction={direction!r})"
 

@@ -448,6 +448,7 @@ class TestSelftestCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["selftest", "--count", "0"])
         assert excinfo.value.code == 2
+        assert capsys.readouterr() == ("", "error[UsageError]: --count must be at least 1\n")
 
     def test_map_theorems_check_every_family_on_every_backend(self, monkeypatch):
         calls = []
@@ -508,11 +509,26 @@ class TestExitCodeMatrix:
         with pytest.raises(SystemExit) as excinfo:
             main(["eval"])  # missing expression
         assert excinfo.value.code == 2
+        assert capsys.readouterr() == (
+            "", "error[UsageError]: the following arguments are required: expression\n")
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["transmogrify"])
         assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error[UsageError]: argument command: invalid choice: "
+                              "'transmogrify'")
+
+    def test_option_value_read_as_an_option(self, capsys):
+        """``--a -1/2`` leaves --a without its value: one error line, as
+        from every argparse error, and no usage text."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["construct", "add", "--a", "-1/2", "--b", "3", "--aux", "(0,1)"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr() == (
+            "", "error[UsageError]: argument --a: expected one argument\n")
 
 
 _LITERALS = {

@@ -36,7 +36,14 @@ from skewplane.maps import (
     VerificationReport,
 )
 from skewplane.plane import PlanePoint
-from skewplane.scalars import PrimeField, Rational, RationalField, RationalQuaternion
+from skewplane.scalars import (
+    Immutable,
+    PrimeField,
+    Rational,
+    RationalField,
+    RationalQuaternion,
+    Record,
+)
 from skewplane.selftest import SuiteResult
 
 
@@ -51,6 +58,16 @@ def rp_repr(x, y):
 _FRAME = LineFrame.canonical(RationalField())
 _TRACE = trace_addition(_FRAME, _FRAME.embed(Rational(2)), _FRAME.embed(Rational(3)), rp(0, 1))
 _RESULT = IdentityResult("x", 3, 1, True)
+
+
+class Triple(Immutable, Record):
+    """A frozen record defined outside the package: ``Record`` gives it
+    its slot setters when the class is created."""
+
+    __slots__ = ("third", "first", "second")
+
+    def __init__(self, third, first, second):
+        self._init(third, first, second)
 
 
 def _line_repr(base, direction):
@@ -108,6 +125,9 @@ RECORDS = {
     "SuiteResult": (
         SuiteResult, ("name", "passed", "detail"), ("s", True, "d"), False,
         "SuiteResult(name='s', passed=True, detail='d')"),
+    "Triple": (
+        Triple, ("third", "first", "second"), (3, 1, 2), True,
+        "Triple(third=3, first=1, second=2)"),
 }
 
 
@@ -210,6 +230,20 @@ def test_pickle_with_every_protocol(name, protocol):
     assert twin == value and repr(twin) == repr(value) and str(twin) == str(value)
     slots = [slot for cls in type(value).__mro__ for slot in cls.__dict__.get("__slots__", ())]
     assert slots and all(getattr(twin, slot) == getattr(value, slot) for slot in slots)
+
+
+def test_new_record_class_writes_fields_through_its_slot_setters():
+    """``_setters`` are the ``__set__`` of the slots in field order, and
+    ``_init`` writes as many leading fields as it is given."""
+    assert Triple._setters == tuple(getattr(Triple, name).__set__
+                                    for name in ("third", "first", "second"))
+    value = Immutable.__new__(Triple)
+    value._init(3, 1)
+    assert (value.third, value.first) == (3, 1)
+    with pytest.raises(AttributeError):
+        value.second
+    with pytest.raises(AttributeError):
+        value.second = 2
 
 
 def test_traces_on_equal_frames_are_equal():

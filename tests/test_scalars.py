@@ -4,6 +4,7 @@ import copy
 import math
 import operator
 import pickle
+import random
 import sys
 from fractions import Fraction
 from operator import add, sub
@@ -568,3 +569,14 @@ class TestFields:
         field = QuaternionField()
         for _ in range(20):
             assert not field.random_nonzero(rng).is_zero()
+
+    @pytest.mark.parametrize("p", [7, 2**61 - 1])
+    def test_prime_draws_match_the_public_constructor(self, p):
+        """A GF(p) draw is built past the constructor; draw for draw it is
+        the element the constructor makes of the same ``randrange``."""
+        field, draws, reference = PrimeField(p), random.Random(5), random.Random(5)
+        for _ in range(200):
+            value = field.random_element(draws)
+            expected = PrimeFieldElement(reference.randrange(p), p)
+            assert (value.residue, value.modulus) == (expected.residue, p)
+            assert type(value.residue) is int
