@@ -45,14 +45,13 @@ from .maps import (
 from .plane import (
     PlaneLine,
     PlanePoint,
-    collinear,
     intersect,
     is_parallel,
     line_through,
     on_line,
     parallel_through,
 )
-from .ratios import cross_ratio, cross_ratio_factors, no_three_equal, ratio2, ratio3
+from .ratios import cross_ratio, ratio2, ratio3
 from .scalars import (
     PrimeField,
     PrimeFieldElement,

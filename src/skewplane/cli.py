@@ -104,9 +104,10 @@ def load_desargues_config(path: str, field: ScalarField) -> DesarguesConfig:
 
     Lines: ``A=(x,y)`` .. ``C'=(x,y)`` and ``variant=parallel`` or
     ``variant=concurrent P=(x,y)``.  Blank lines are ignored, and ``#``
-    starts a comment that runs to the end of the line.  An error on a
-    line names it and carries the column of the offending text; a file
-    that is not UTF-8 fails at the offset of its first bad byte.
+    starts a comment that runs to the end of the line.  Each key occurs
+    once.  An error on a line names it and carries the column of the
+    offending text; a file that is not UTF-8 fails at the offset of its
+    first bad byte.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -115,7 +116,6 @@ def load_desargues_config(path: str, field: ScalarField) -> DesarguesConfig:
     except UnicodeDecodeError as exc:
         raise ExpressionSyntaxError(f"config is not UTF-8 ({exc.reason})", exc.start) from None
     entries = {}
-    variant = None
     center = None
     for number, raw in enumerate(text.splitlines(), start=1):
         raw_key, sep, raw_value = raw.partition("#")[0].partition("=")
@@ -127,11 +127,13 @@ def load_desargues_config(path: str, field: ScalarField) -> DesarguesConfig:
             if not sep or not value:
                 raise ExpressionSyntaxError(
                     "not KEY=VALUE", value_column if sep else key_column)
+            if key in entries:
+                raise ExpressionSyntaxError(f"repeated key {key!r}", key_column)
             if key == "variant":
                 if value == PARALLEL:
-                    variant = PARALLEL
+                    entries[key] = PARALLEL
                 elif value.startswith(CONCURRENT):
-                    variant = CONCURRENT
+                    entries[key] = CONCURRENT
                     rest, rest_column = _strip(value[len(CONCURRENT):],
                                                value_column + len(CONCURRENT))
                     if not rest.startswith("P="):
@@ -151,12 +153,12 @@ def load_desargues_config(path: str, field: ScalarField) -> DesarguesConfig:
     missing = [k for k in ("A", "B", "C", "A'", "B'", "C'") if k not in entries]
     if missing:
         raise ExpressionSyntaxError(f"config is missing {', '.join(missing)}", 0)
-    if variant is None:
+    if "variant" not in entries:
         raise ExpressionSyntaxError("config is missing the variant line", 0)
     return DesarguesConfig(
         a=entries["A"], b=entries["B"], c=entries["C"],
         ap=entries["A'"], bp=entries["B'"], cp=entries["C'"],
-        variant=variant, center=center)
+        variant=entries["variant"], center=center)
 
 
 # ---------------------------------------------------------------------------

@@ -193,13 +193,6 @@ def on_line(p: PlanePoint, line: PlaneLine) -> bool:
     return p.y == line._b + p.x * m
 
 
-def collinear(p: PlanePoint, q: PlanePoint, r: PlanePoint) -> bool:
-    """True iff the three points admit a common line (coincidences count)."""
-    if p == q or p == r or q == r:
-        return True
-    return on_line(r, line_through(p, q))
-
-
 def intersect(l1: PlaneLine, l2: PlaneLine) -> PlanePoint:
     """The unique common point of two distinct non-parallel lines.
 

@@ -9,13 +9,11 @@ field and is never rearranged:
     cross_ratio(A, B, C, D) = [(A - D)^-1 * (B - D)] * [(B - C)^-1 * (A - C)]
 
 The cross-ratio precondition is exactly that the two inverted
-differences are nonzero (A != D and B != C); the stricter classical
-condition is available separately as :func:`no_three_equal`.
+differences are nonzero (A != D and B != C), not the stricter classical
+condition that no three of the four points coincide.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 from .errors import (
     CoincidentPointsError,
@@ -39,25 +37,11 @@ def ratio3(a: SkewScalar, b: SkewScalar, c: SkewScalar) -> SkewScalar:
     return (b - c).inverse() * (a - c)
 
 
-def cross_ratio_factors(a: SkewScalar, b: SkewScalar, c: SkewScalar,
-                        d: SkewScalar) -> Tuple[SkewScalar, SkewScalar]:
-    """The two bracketed factors of the cross-ratio, in display order."""
+def cross_ratio(a: SkewScalar, b: SkewScalar, c: SkewScalar,
+                d: SkewScalar) -> SkewScalar:
+    """The cross-ratio point [(A-D)^-1 (B-D)] * [(B-C)^-1 (A-C)]."""
     if a == d:
         raise SingularCrossRatioError("A-D", a)
     if b == c:
         raise SingularCrossRatioError("B-C", b)
-    return ((a - d).inverse() * (b - d), (b - c).inverse() * (a - c))
-
-
-def cross_ratio(a: SkewScalar, b: SkewScalar, c: SkewScalar,
-                d: SkewScalar) -> SkewScalar:
-    """The cross-ratio point [(A-D)^-1 (B-D)] * [(B-C)^-1 (A-C)]."""
-    first, second = cross_ratio_factors(a, b, c, d)
-    return first * second
-
-
-def no_three_equal(a: SkewScalar, b: SkewScalar, c: SkewScalar,
-                   d: SkewScalar) -> bool:
-    """True iff no value occurs three or more times among the four points."""
-    points = (a, b, c, d)
-    return all(sum(1 for q in points if q == p) < 3 for p in points)
+    return (a - d).inverse() * (b - d) * ((b - c).inverse() * (a - c))

@@ -25,8 +25,9 @@ Rationals, and quaternions too, do their arithmetic on plain integers: a
 rational is a numerator over a positive denominator with no common
 factor, a quaternion one tuple ``(a, b, c, e, d)`` of four numerators over
 a positive common denominator d that shares no factor with all of them
-(canonical forms).  Only the quaternion component views import
-``fractions``.
+(canonical forms).  No module of the package imports ``fractions``;
+the public constructors still take ``Fraction`` values, whose int
+``numerator`` and ``denominator`` they read.
 
 Only the public constructors validate their arguments.  Each operator
 builds its result in its own frame: it computes the canonical form
@@ -48,7 +49,7 @@ from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import BackendMismatchError, UsageError, ZeroInverseError
 
-# only type checkers read the import: at run time Fraction is imported lazily
+# only type checkers read the import: at run time nothing imports fractions
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
 
@@ -472,8 +473,8 @@ class RationalQuaternion(SkewScalar):
     integers over one positive denominator d whose gcd with all four is 1
     (zero is ``(0, 0, 0, 0, 1)``), so the form is canonical, ``_v`` is the
     key, and equality and the hash are those of one tuple of ints.  Each
-    operation reduces its result with at most one gcd.  ``w``, ``x``, ``y``,
-    ``z`` and ``components()`` are exact rational views.  The norm
+    operation reduces its result with at most one gcd.  ``components()``
+    gives (w, x, y, z) as four :class:`Rational` values.  The norm
     w^2 + x^2 + y^2 + z^2 vanishes only at zero, which guarantees every
     nonzero element is invertible: q^-1 = conjugate(q) / norm(q), exactly.
     Multiplication follows the Hamilton table (i*j = k, j*i = -k, ...)
@@ -501,16 +502,11 @@ class RationalQuaternion(SkewScalar):
         slots = state[1]
         _set_quaternion(self, slots["_v"] if "_v" in slots else (*slots["_n"], slots["_d"]))
 
-    w = property(lambda self: self.components()[0], doc="The real part.")
-    x = property(lambda self: self.components()[1], doc="The i coefficient.")
-    y = property(lambda self: self.components()[2], doc="The j coefficient.")
-    z = property(lambda self: self.components()[3], doc="The k coefficient.")
-
-    def components(self):
-        """The (w, x, y, z) coefficients as exact rationals."""
-        from fractions import Fraction
+    def components(self) -> tuple:
+        """The (w, x, y, z) coefficients, each a :class:`Rational` in
+        lowest terms."""
         *n, d = self._v
-        return tuple(Fraction(a, d) for a in n)
+        return tuple(Rational._reduce(a, d) for a in n)
 
     def _key(self):
         return self._v
@@ -603,11 +599,10 @@ class RationalQuaternion(SkewScalar):
     def __str__(self) -> str:
         """``(w,x,y,z)``, each component the rational ``Rational.__str__``
         prints, so in lowest terms, and past the digit limit a UsageError."""
-        *n, d = self._v
-        return "({},{},{},{})".format(*(Rational._reduce(a, d) for a in n))
+        return "({},{},{},{})".format(*self.components())
 
     def __repr__(self) -> str:
-        return f"RationalQuaternion{self.components()}"
+        return f"RationalQuaternion{self}"
 
 
 _set_quaternion = RationalQuaternion._v.__set__
@@ -670,8 +665,6 @@ class ScalarField(ABC):
     never per value; everything downstream inherits it.
     """
 
-    #: True when multiplication commutes in this backend.
-    commutative: bool = True
     #: True when the backend has finitely many elements.
     finite: bool = False
     name: str = ""
@@ -750,7 +743,6 @@ class PrimeField(ScalarField):
 class QuaternionField(ScalarField):
     """The rational quaternions, the non-commutative backend."""
 
-    commutative = False
     name = "quaternion"
 
     def from_int(self, n: int) -> RationalQuaternion:

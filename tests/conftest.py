@@ -1,6 +1,8 @@
 """Shared fixtures and hypothesis strategies for the test suite."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -40,6 +42,15 @@ def quaternions(max_abs=6, max_den=4):
 
 def nonzero_quaternions():
     return quaternions().filter(lambda q: not q.is_zero())
+
+
+def fractions_of(q):
+    """The components of quaternion ``q`` as Fractions, the test reference,
+    after checking each is a Rational in lowest terms."""
+    parts = q.components()
+    assert all(type(c) is Rational and c.denominator > 0
+               and math.gcd(c.numerator, c.denominator) == 1 for c in parts)
+    return tuple(Fraction(c.numerator, c.denominator) for c in parts)
 
 
 @pytest.fixture

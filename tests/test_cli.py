@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, files, and the exit-code contract."""
 
+import ast
 import io
 import os
 import re
@@ -398,6 +399,9 @@ class TestDesarguesCommand:
          "config line 1: concurrent variant needs P=(x,y) at offset 20"),
         ("variant=concurrent  P= (1,\n",
          "config line 1: expected 'int', found 'end of input' at offset 26"),
+        (VALID_CONFIG + "  A = (5,5)\n", "config line 9: repeated key 'A' at offset 2"),
+        ("variant=concurrent P=(0,0)\n" + VALID_CONFIG,
+         "config line 9: repeated key 'variant' at offset 0"),
     ])
     def test_config_error_names_line_and_column(self, text, message, capsys, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -589,11 +593,47 @@ class TestStartup:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         """Each CLI call is a fresh process, so what importing the CLI
         pulls in is paid on every call; ``-S`` keeps site's imports out.
-        ``fractions`` (with ``decimal``) loads only when a quaternion's
-        component views are read."""
-        script = ("import sys; sys.path.insert(0, sys.argv[1]); import skewplane.cli; "
-                  "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
-                  " & set(sys.modules)))")
+        Neither does printing a quaternion, reading its components or
+        formatting an error that shows one load ``fractions`` (which
+        brings ``decimal``)."""
+        script = "\n".join((
+            "import sys; sys.path.insert(0, sys.argv[1]); import skewplane.cli",
+            "from skewplane.errors import BackendMismatchError",
+            "from skewplane.scalars import Rational, RationalQuaternion",
+            "q = RationalQuaternion(Rational(1, 2), -3)",
+            "print(repr(q), str(q), q.components())",
+            "try: Rational(1) + q",
+            "except BackendMismatchError as exc: print(exc)",
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+            " & set(sys.modules)))"))
         out = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
                              capture_output=True, text=True, check=True).stdout
-        assert out == "[]\n"
+        assert out == (
+            "RationalQuaternion(1/2,-3,0,0) (1/2,-3,0,0) "
+            "(Rational(1/2), Rational(-3), Rational(0), Rational(0))\n"
+            "cannot combine Rational with RationalQuaternion value "
+            "RationalQuaternion(1/2,-3,0,0)\n"
+            "[]\n")
+
+    def test_no_module_imports_fractions(self):
+        """``fractions`` is the test reference only: no module of the
+        package imports it, save for type checkers under ``TYPE_CHECKING``."""
+        paths, found = sorted((SRC / "skewplane").glob("*.py")), []
+        for path in paths:
+            nodes = [ast.parse(path.read_text(encoding="utf-8"))]
+            while nodes:
+                node = nodes.pop()
+                if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                        "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                    nodes.extend(node.orelse)
+                    continue
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    names = []
+                if any(name.partition(".")[0] == "fractions" for name in names):
+                    found.append(f"{path.name}:{node.lineno}")
+                nodes.extend(ast.iter_child_nodes(node))
+        assert paths and found == []

@@ -16,7 +16,6 @@ from skewplane.errors import (
 from skewplane.plane import (
     PlaneLine,
     PlanePoint,
-    collinear,
     intersect,
     is_parallel,
     line_through,
@@ -286,15 +285,10 @@ class TestIncidence:
         assert on_line(rp(5, 0), X_AXIS)
         assert not on_line(rp(5, 1), X_AXIS)
 
-    def test_collinear_examples(self):
-        assert collinear(rp(0, 0), rp(2, 0), rp(7, 0))
-        assert not collinear(rp(0, 0), rp(1, 0), rp(0, 1))
-        assert collinear(rp(1, 1), rp(1, 1), rp(9, 2))
-
     def test_noncollinear_witness_every_backend(self, any_field):
         zero, one = any_field.zero(), any_field.one()
-        assert not collinear(PlanePoint(zero, zero), PlanePoint(one, zero),
-                             PlanePoint(zero, one))
+        assert not on_line(PlanePoint(zero, one),
+                           line_through(PlanePoint(zero, zero), PlanePoint(one, zero)))
 
 
 def _gf3_points_and_lines():

@@ -9,13 +9,7 @@ from skewplane.errors import (
     SingularCrossRatioError,
     ZeroDenominatorPointError,
 )
-from skewplane.ratios import (
-    cross_ratio,
-    cross_ratio_factors,
-    no_three_equal,
-    ratio2,
-    ratio3,
-)
+from skewplane.ratios import cross_ratio, ratio2, ratio3
 from skewplane.scalars import QuaternionField, Rational
 
 
@@ -105,7 +99,7 @@ class TestCrossRatio:
 
     def test_structural_factorization(self):
         a, b, c, d = (Rational(n) for n in (2, 3, 1, 5))
-        first, second = cross_ratio_factors(a, b, c, d)
+        first, second = ratio3(b, a, d), ratio3(a, b, c)
         assert first == (a - d).inverse() * (b - d)
         assert second == (b - c).inverse() * (a - c)
         assert cross_ratio(a, b, c, d) == first * second
@@ -122,7 +116,8 @@ class TestCrossRatio:
         field = QuaternionField()
         a, b = field.i(), field.j()
         c, d = field.zero(), field.one()
-        first, second = cross_ratio_factors(a, b, c, d)
+        first, second = ratio3(b, a, d), ratio3(a, b, c)
+        assert cross_ratio(a, b, c, d) == first * second
         assert first * second != second * first
 
     def test_quaternion_value_against_hand_reduction(self):
@@ -134,15 +129,3 @@ class TestCrossRatio:
         value = cross_ratio(field.i(), field.j(), field.zero(), field.one())
         half = Rational(1, 2)
         assert value == RationalQuaternion(half, -half, -half, half)
-
-
-class TestNoThreeEqual:
-    def test_accepts_one_repeated_pair(self):
-        assert no_three_equal(Rational(1), Rational(1), Rational(2), Rational(3))
-
-    def test_rejects_triple(self):
-        assert not no_three_equal(Rational(1), Rational(1), Rational(1), Rational(3))
-        assert not no_three_equal(Rational(2), Rational(1), Rational(2), Rational(2))
-
-    def test_accepts_two_distinct_pairs(self):
-        assert no_three_equal(Rational(1), Rational(2), Rational(1), Rational(2))
