@@ -22,6 +22,7 @@ surfaces as one ``error[ClassName]: message`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 from typing import List, Optional
 
@@ -106,15 +107,17 @@ def load_desargues_config(path: str, field: ScalarField) -> DesarguesConfig:
     ``variant=concurrent P=(x,y)``.  Blank lines are ignored, and ``#``
     starts a comment that runs to the end of the line.  Each key occurs
     once.  An error on a line names it and carries the column of the
-    offending text; a file that is not UTF-8 fails at the offset of its
-    first bad byte.
+    offending text; a file that is not UTF-8 fails at the byte offset of
+    its first bad byte.  One leading UTF-8 byte-order mark is skipped.
     """
     with open(path, "rb") as handle:
         data = handle.read()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = data.decode("utf-8")
+        text = data[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ExpressionSyntaxError(f"config is not UTF-8 ({exc.reason})", exc.start) from None
+        raise ExpressionSyntaxError(f"config is not UTF-8 ({exc.reason})",
+                                    bom + exc.start) from None
     entries = {}
     center = None
     for number, raw in enumerate(text.splitlines(), start=1):

@@ -25,8 +25,8 @@ plain ints included, is a TypeError, since a point has no backend to
 embed an int in), and all of one backend (else BackendMismatchError).
 The primitives build each point and line in one step from their own
 arithmetic, which already raises BackendMismatchError on mixed backends:
-``_point`` writes a point's slots, and ``PlaneLine._set`` a line's,
-through the slot descriptors and past the constructors' checks.
+``_point``, ``PlaneLine._canonical`` and ``parallel_through`` write the
+slots through the slot descriptors, past the constructors' checks.
 ``parallel_through`` and ``is_parallel`` check the backends only for a
 vertical line, which needs no arithmetic.  Internal draws are built
 values too, like ``_from_int``: a field's ``random_element`` returns a
@@ -110,21 +110,20 @@ class PlaneLine(Immutable):
             raise TypeError(f"expected a PlanePoint, got {type(base).__name__}")
         dx, dy = direction
         ensure_same_backend(base.x, base.y, dx, dy)
-        if dx.is_zero() and dy.is_zero():
+        if self._canonical(base.x, base.y, dx, dy) is None:
             raise ValueError("line direction must be nonzero")
-        self._canonical(base.x, base.y, dx, dy)
 
     def _canonical(self, x: SkewScalar, y: SkewScalar,
-                   dx: SkewScalar, dy: SkewScalar) -> "PlaneLine":
-        """Write the canonical form of the line through (x, y) with the
-        nonzero direction (dx, dy), all four from one backend."""
+                   dx: SkewScalar, dy: SkewScalar) -> "PlaneLine | None":
+        """Write the canonical form of the line through (x, y) with direction
+        (dx, dy), all four of one backend; None, writing nothing, if (dx, dy) = 0."""
         if dx.is_zero():
-            return self._set(x, None)
-        m = dx.inverse() * dy
-        return self._set(y - x * m, m)
-
-    def _set(self, b: SkewScalar, m) -> "PlaneLine":
-        """Write the slots: the intercept and slope, or c and None."""
+            if dy.is_zero():
+                return None
+            b, m = x, None
+        else:
+            m = dx.inverse() * dy
+            b = y - x * m
         _set_b(self, b)
         _set_m(self, m)
         return self
@@ -160,20 +159,24 @@ _set_m = PlaneLine._m.__set__
 
 def line_through(p: PlanePoint, q: PlanePoint) -> PlaneLine:
     """The unique line containing the two distinct points p and q."""
-    dx, dy = q.x - p.x, q.y - p.y
-    if dx.is_zero() and dy.is_zero():
+    line = _new(PlaneLine)._canonical(p.x, p.y, q.x - p.x, q.y - p.y)
+    if line is None:
         raise CoincidentPointsError(f"no unique line through coincident point {p}")
-    return _new(PlaneLine)._canonical(p.x, p.y, dx, dy)
+    return line
 
 
 def parallel_through(p: PlanePoint, line: PlaneLine) -> PlaneLine:
     """The line through p with line's slope, reused as it is:
     y = (p.y - p.x*m) + x*m, or x = p.x for a vertical line."""
     m = line._m
+    through = _new(PlaneLine)
     if m is None:
         ensure_same_backend(p.x, line._b)
-        return _new(PlaneLine)._set(p.x, None)
-    return _new(PlaneLine)._set(p.y - p.x * m, m)
+        _set_b(through, p.x)
+    else:
+        _set_b(through, p.y - p.x * m)
+    _set_m(through, m)
+    return through
 
 
 def is_parallel(l1: PlaneLine, l2: PlaneLine) -> bool:

@@ -13,31 +13,32 @@ immutable and safe to share.  :class:`SkewScalar` states the rules all
 backends share: plain ``int`` operands are accepted everywhere (the
 integers embed canonically in any skew field), and scalars from different
 backends never mix: any cross-backend operation raises
-:class:`BackendMismatchError`.  A backend supplies only its storage, its
-arithmetic, a canonical ``_key`` and ``_from_int``.
+:class:`BackendMismatchError`.  A backend supplies only its arithmetic,
+``_from_int`` and its storage: one tuple of ints, ``_v``, which is its
+canonical key, read by ``==`` and ``hash`` and returned by ``_key``.
 
-Every scalar hashes its canonical ``_key``.  ``==`` embeds an ``int``, but
-no scalar hashes like the embedded ``int`` (for GF(p) no hash could agree
-with every int of a residue class), so ints and scalars never share dicts
-or sets: ``3 in {Rational(3)}`` is False although ``Rational(3) == 3``.
+``==`` embeds an ``int``, but no scalar hashes like the embedded ``int``
+(for GF(p) no hash could agree with every int of a residue class), so
+ints and scalars never share dicts or sets: ``3 in {Rational(3)}`` is
+False although ``Rational(3) == 3``.
 
 Rationals, and quaternions too, do their arithmetic on plain integers: a
-rational is a numerator over a positive denominator with no common
-factor, a quaternion one tuple ``(a, b, c, e, d)`` of four numerators over
-a positive common denominator d that shares no factor with all of them
-(canonical forms).  No module of the package imports ``fractions``;
-the public constructors still take ``Fraction`` values, whose int
-``numerator`` and ``denominator`` they read.
+rational's key is ``(n, d)``, a numerator over a positive denominator with
+no common factor, a GF(p) element's ``(residue, p)``, and a quaternion's
+``(a, b, c, e, d)``, four numerators over a positive common denominator d
+that shares no factor with all of them (canonical forms).  No module of
+the package imports ``fractions``; the public constructors still take
+``Fraction`` values, whose int ``numerator`` and ``denominator`` they read.
 
 Only the public constructors validate their arguments.  Each operator
-builds its result in its own frame: it computes the canonical form
-itself, dividing by the gcd only when that is not 1, writes the slots
-through their slot descriptors, past both the constructor's checks and
-:class:`Immutable`'s guard, and takes an operand of its own class as it
-is, without the ``_coerce`` call that an ``int`` or an alien operand goes
-through.  ``_from_int``, the embedding of an int into a value's backend,
-builds without validating too, and so does ``PrimeField.random_element``,
-whose draw from ``range(p)`` is already a canonical residue.
+builds its result in its own frame: it unpacks each operand's key once,
+computes the canonical form itself, dividing by the gcd only when that is
+not 1, writes the key through its slot descriptor, past both the
+constructor's checks and :class:`Immutable`'s guard, and takes an operand
+of its own class as it is, without the ``_coerce`` call that an ``int`` or
+an alien operand goes through.  ``_from_int`` builds without validating
+too, and so do the draws: GF(p) draws from ``range(p)``, a canonical
+residue, and the rationals pick one of 102 values built at import.
 """
 
 from __future__ import annotations
@@ -153,11 +154,12 @@ class Record:
 class SkewScalar(Immutable, ABC):
     """An element of the active skew field.
 
-    A backend implements ``+``, ``-``, unary ``-``, ``*``, ``inverse``,
-    ``is_zero``, ``_key`` and ``_from_int``; this class derives the
-    reflected operators, ``==`` and ``hash`` over ``_key``, an identity
-    ``conjugate``, and ``_coerce``, the one operand rule, which embeds ints
-    by ``_from_int``.
+    A backend stores its canonical key in the one slot ``_v`` and
+    implements ``+``, ``-``, unary ``-``, ``*``, ``inverse``, ``is_zero``
+    and ``_from_int``; this class derives the reflected operators,
+    ``_key``, ``==`` and ``hash`` over ``_v``, an identity ``conjugate``,
+    and ``_coerce``, the one operand rule, which embeds ints by
+    ``_from_int``.
     Multiplication is NOT assumed commutative anywhere.
     """
 
@@ -182,9 +184,9 @@ class SkewScalar(Immutable, ABC):
     @abstractmethod
     def is_zero(self) -> bool: ...
 
-    @abstractmethod
     def _key(self):
-        """The canonical form: two values are equal iff their keys are."""
+        """The canonical form ``_v``: two values are equal iff their keys are."""
+        return self._v
 
     @abstractmethod
     def _from_int(self, n: int):
@@ -212,13 +214,14 @@ class SkewScalar(Immutable, ABC):
         return None
 
     def __eq__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self._key() == coerced._key()
+        if other.__class__ is not self.__class__:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._v == other._v
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._v)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -239,36 +242,43 @@ class SkewScalar(Immutable, ABC):
 class Rational(SkewScalar):
     """An exact rational number in canonical reduced form.
 
-    Invariants: denominator > 0, gcd(|numerator|, denominator) = 1, the
-    canonical zero is 0/1.  Canonicalization happens at construction, so
-    ``Rational(2, 4) == Rational(1, 2)`` structurally.
+    Stored as one tuple ``_v = (n, d)``, its key: d > 0, gcd(|n|, d) = 1,
+    and the canonical zero is 0/1.  Canonicalization happens at
+    construction, so ``Rational(2, 4) == Rational(1, 2)`` structurally.
     """
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ("_v",)
 
     def __new__(cls, numerator: RationalLike = 0, denominator: RationalLike = 1):
-        n, d = _ratio(numerator, denominator)
         out = _new(cls)
-        _set_numerator(out, n)
-        _set_denominator(out, d)
+        _set_rational(out, _ratio(numerator, denominator))
         return out
 
     @staticmethod
     def _reduce(n: int, d: int) -> "Rational":
         """The value n / d for d > 0, divided by their gcd."""
-        g = math.gcd(n, d)
+        g = _gcd(n, d)
         out = _new(Rational)
-        _set_numerator(out, n // g)
-        _set_denominator(out, d // g)
+        _set_rational(out, (n // g, d // g))
         return out
 
-    def _key(self):
-        return (self.numerator, self.denominator)
+    def __setstate__(self, state):
+        """Restore ``{'_v': ...}``, or the earlier ``{'numerator': ..., 'denominator': ...}``."""
+        slots = state[1]
+        _set_rational(self, slots["_v"] if "_v" in slots else
+                      (slots["numerator"], slots["denominator"]))
+
+    @property
+    def numerator(self) -> int:
+        return self._v[0]
+
+    @property
+    def denominator(self) -> int:
+        return self._v[1]
 
     def _from_int(self, n: int) -> "Rational":
         out = _new(Rational)
-        _set_numerator(out, int(n))  # n / 1 is canonical as it is
-        _set_denominator(out, 1)
+        _set_rational(out, (int(n), 1))  # n / 1 is canonical as it is
         return out
 
     def __add__(self, other):
@@ -276,14 +286,12 @@ class Rational(SkewScalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        d1, d2 = self.denominator, other.denominator
-        n, d = self.numerator * d2 + other.numerator * d1, d1 * d2
+        n1, d1 = self._v
+        n2, d2 = other._v
+        n, d = n1 * d2 + n2 * d1, d1 * d2
         g = _gcd(n, d)
-        if g != 1:
-            n, d = n // g, d // g
         out = _new(Rational)
-        _set_numerator(out, n)
-        _set_denominator(out, d)
+        _set_rational(out, (n, d) if g == 1 else (n // g, d // g))
         return out
 
     def __sub__(self, other):
@@ -291,20 +299,18 @@ class Rational(SkewScalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        d1, d2 = self.denominator, other.denominator
-        n, d = self.numerator * d2 - other.numerator * d1, d1 * d2
+        n1, d1 = self._v
+        n2, d2 = other._v
+        n, d = n1 * d2 - n2 * d1, d1 * d2
         g = _gcd(n, d)
-        if g != 1:
-            n, d = n // g, d // g
         out = _new(Rational)
-        _set_numerator(out, n)
-        _set_denominator(out, d)
+        _set_rational(out, (n, d) if g == 1 else (n // g, d // g))
         return out
 
     def __neg__(self):
+        n, d = self._v
         out = _new(Rational)
-        _set_numerator(out, -self.numerator)
-        _set_denominator(out, self.denominator)
+        _set_rational(out, (-n, d))
         return out
 
     def __mul__(self, other):
@@ -312,38 +318,29 @@ class Rational(SkewScalar):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        n, d = self.numerator * other.numerator, self.denominator * other.denominator
+        n1, d1 = self._v
+        n2, d2 = other._v
+        n, d = n1 * n2, d1 * d2
         g = _gcd(n, d)
-        if g != 1:
-            n, d = n // g, d // g
         out = _new(Rational)
-        _set_numerator(out, n)
-        _set_denominator(out, d)
+        _set_rational(out, (n, d) if g == 1 else (n // g, d // g))
         return out
 
     def inverse(self) -> "Rational":
-        n, d = self.numerator, self.denominator
+        n, d = self._v
         if not n:
             raise ZeroInverseError("0 has no multiplicative inverse")
         out = _new(Rational)
-        _set_numerator(out, d if n > 0 else -d)
-        _set_denominator(out, n if n > 0 else -n)
+        _set_rational(out, (d, n) if n > 0 else (-d, -n))
         return out
 
     def is_zero(self) -> bool:
-        return not self.numerator
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Rational):  # fast path of the base rule
-            return self.numerator == other.numerator and self.denominator == other.denominator
-        return super().__eq__(other)
-
-    __hash__ = SkewScalar.__hash__
+        return not self._v[0]
 
     def __str__(self) -> str:
         """``n`` or ``n/d``; beyond the interpreter's digit limit, which the
         parser cannot read past either, a UsageError."""
-        n, d = self.numerator, self.denominator
+        n, d = self._v
         try:
             return str(n) if d == 1 else f"{n}/{d}"
         except ValueError:
@@ -354,18 +351,21 @@ class Rational(SkewScalar):
         return f"Rational({self})"
 
 
-_set_numerator = Rational.numerator.__set__
-_set_denominator = Rational.denominator.__set__
+_set_rational = Rational._v.__set__
+#: The 102 values n/d, n in -8..8 and d in 1..6, that
+#: ``RationalField.random_element`` draws: row n + 8, column d - 1.
+_RATIONAL_DRAWS = tuple(tuple(Rational(n, d) for d in range(1, 7)) for n in range(-8, 9))
 
 
 class PrimeFieldElement(SkewScalar):
     """A residue in GF(p), 0 <= residue < p, with p prime.
 
-    The modulus is part of the value's backend identity: elements of
-    GF(5) and GF(7) never mix.
+    Stored as one tuple ``_v = (residue, modulus)``, its key.  The
+    modulus is part of the value's backend identity: elements of GF(5)
+    and GF(7) never mix.
     """
 
-    __slots__ = ("residue", "modulus")
+    __slots__ = ("_v",)
 
     def __init__(self, residue: int, modulus: int):
         if not isinstance(residue, int) or isinstance(residue, bool):
@@ -374,96 +374,100 @@ class PrimeFieldElement(SkewScalar):
             raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
         if modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        _set_modulus(self, modulus)
-        _set_residue(self, residue % modulus)
+        _set_gfp(self, (residue % modulus, modulus))
+
+    def __setstate__(self, state):
+        """Restore ``{'_v': ...}``, or the earlier ``{'residue': ..., 'modulus': ...}``."""
+        slots = state[1]
+        _set_gfp(self, slots["_v"] if "_v" in slots else (slots["residue"], slots["modulus"]))
+
+    @property
+    def residue(self) -> int:
+        return self._v[0]
+
+    @property
+    def modulus(self) -> int:
+        return self._v[1]
 
     def _coerce(self, other):
         if isinstance(other, PrimeFieldElement):
-            if other.modulus != self.modulus:
+            if other._v[1] != self._v[1]:
                 raise BackendMismatchError(
                     f"GF({self.modulus}) and GF({other.modulus}) elements cannot mix"
                 )
             return other
         return super()._coerce(other)
 
-    def _key(self):
-        return (self.residue, self.modulus)
-
     def _from_int(self, n: int) -> "PrimeFieldElement":
-        m = self.modulus
+        m = self._v[1]
         out = _new(PrimeFieldElement)
-        _set_residue(out, int(n) % m)
-        _set_modulus(out, m)
+        _set_gfp(out, (int(n) % m, m))
         return out
 
     def __add__(self, other):
-        m = self.modulus
-        if other.__class__ is not PrimeFieldElement or other.modulus != m:
+        r, m = self._v
+        if other.__class__ is not PrimeFieldElement or other._v[1] != m:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         out = _new(PrimeFieldElement)
-        _set_residue(out, (self.residue + other.residue) % m)
-        _set_modulus(out, m)
+        _set_gfp(out, ((r + other._v[0]) % m, m))
         return out
 
     def __sub__(self, other):
-        m = self.modulus
-        if other.__class__ is not PrimeFieldElement or other.modulus != m:
+        r, m = self._v
+        if other.__class__ is not PrimeFieldElement or other._v[1] != m:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         out = _new(PrimeFieldElement)
-        _set_residue(out, (self.residue - other.residue) % m)
-        _set_modulus(out, m)
+        _set_gfp(out, ((r - other._v[0]) % m, m))
         return out
 
     def __neg__(self):
-        m = self.modulus
+        r, m = self._v
         out = _new(PrimeFieldElement)
-        _set_residue(out, -self.residue % m)
-        _set_modulus(out, m)
+        _set_gfp(out, (-r % m, m))
         return out
 
     def __mul__(self, other):
-        m = self.modulus
-        if other.__class__ is not PrimeFieldElement or other.modulus != m:
+        r, m = self._v
+        if other.__class__ is not PrimeFieldElement or other._v[1] != m:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         out = _new(PrimeFieldElement)
-        _set_residue(out, self.residue * other.residue % m)
-        _set_modulus(out, m)
+        _set_gfp(out, (r * other._v[0] % m, m))
         return out
 
     def inverse(self) -> "PrimeFieldElement":
-        m = self.modulus
-        if self.residue == 0:
+        r, m = self._v
+        if not r:
             raise ZeroInverseError(f"0 mod {m} has no inverse")
         out = _new(PrimeFieldElement)
-        _set_residue(out, pow(self.residue, -1, m))
-        _set_modulus(out, m)
+        _set_gfp(out, (pow(r, -1, m), m))
         return out
 
     def is_zero(self) -> bool:
-        return self.residue == 0
+        return not self._v[0]
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PrimeFieldElement) and other.modulus == self.modulus:
-            return self.residue == other.residue  # fast path of the base rule
-        return super().__eq__(other)
+    def __eq__(self, other) -> bool:  # the shared rule, with _coerce refusing another GF(p)
+        if other.__class__ is not PrimeFieldElement or other._v[1] != self._v[1]:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._v == other._v
 
-    __hash__ = SkewScalar.__hash__
+    __hash__ = SkewScalar.__hash__  # a class that defines __eq__ loses the inherited one
 
     def __str__(self) -> str:
-        return f"{self.residue} mod {self.modulus}"
+        return "{} mod {}".format(*self._v)
 
     def __repr__(self) -> str:
-        return f"PrimeFieldElement({self.residue}, {self.modulus})"
+        return "PrimeFieldElement({}, {})".format(*self._v)
 
 
-_set_residue = PrimeFieldElement.residue.__set__
-_set_modulus = PrimeFieldElement.modulus.__set__
+_set_gfp = PrimeFieldElement._v.__set__
 
 
 class RationalQuaternion(SkewScalar):
@@ -507,9 +511,6 @@ class RationalQuaternion(SkewScalar):
         lowest terms."""
         *n, d = self._v
         return tuple(Rational._reduce(a, d) for a in n)
-
-    def _key(self):
-        return self._v
 
     def _from_int(self, n: int) -> "RationalQuaternion":
         out = _new(RationalQuaternion)
@@ -587,14 +588,6 @@ class RationalQuaternion(SkewScalar):
 
     def is_zero(self) -> bool:
         return self._v == (0, 0, 0, 0, 1)  # the canonical zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RationalQuaternion):  # fast path of the base rule
-            return self._v == other._v
-        return super().__eq__(other)
-
-    def __hash__(self):
-        return hash(self._v)
 
     def __str__(self) -> str:
         """``(w,x,y,z)``, each component the rational ``Rational.__str__``
@@ -710,7 +703,7 @@ class RationalField(ScalarField):
         return Rational(n)
 
     def random_element(self, rng) -> Rational:
-        return Rational._reduce(rng.randint(-8, 8), rng.randint(1, 6))
+        return _RATIONAL_DRAWS[rng.randint(-8, 8) + 8][rng.randint(1, 6) - 1]
 
 
 class PrimeField(ScalarField):
@@ -731,8 +724,7 @@ class PrimeField(ScalarField):
 
     def random_element(self, rng) -> PrimeFieldElement:
         out = _new(PrimeFieldElement)
-        _set_residue(out, rng.randrange(self.p))  # in range: canonical as drawn
-        _set_modulus(out, self.p)
+        _set_gfp(out, (rng.randrange(self.p), self.p))  # in range: canonical as drawn
         return out
 
     def elements(self) -> Iterator[PrimeFieldElement]:

@@ -13,8 +13,16 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from conftest import quaternions, rationals
-from skewplane.constructions import LineFrame, geometric_add, geometric_mul
-from skewplane.plane import PlaneLine, PlanePoint, line_through, parallel_through
+from skewplane.constructions import (
+    CONCURRENT,
+    PARALLEL,
+    DesarguesConfig,
+    LineFrame,
+    check_desargues,
+    geometric_add,
+    geometric_mul,
+)
+from skewplane.plane import PlaneLine, PlanePoint, line_through, parallel_through, scale_direction
 from skewplane.scalars import PrimeFieldElement, Rational, RationalField
 
 SCALARS = {
@@ -159,3 +167,26 @@ class TestOpCounts:
         monkeypatch.undo()
         assert frame.extract(result) == (q(2, 3) + q(-5, 7) if construct is geometric_add
                                          else q(2, 3) * q(-5, 7))
+
+    # nine line_through, none vertical (2 sub for the displacement, then
+    # inverse, mul, mul, sub each) and on_line(C, AB) (mul, add); the line
+    # comparisons read slopes and intercepts only.  The concurrent variant
+    # adds on_line(P, axis) for each of the three joining lines.
+    @pytest.mark.parametrize("variant, expected", [
+        (PARALLEL, {"__sub__": 27, "__mul__": 19, "__add__": 1, "inverse": 9}),
+        (CONCURRENT, {"__sub__": 27, "__mul__": 22, "__add__": 4, "inverse": 9}),
+    ])
+    def test_desargues_check(self, monkeypatch, variant, expected):
+        a, b, c = (PlanePoint(q(1, 2), q(1, 3)), PlanePoint(q(2), q(-1, 4)),
+                   PlanePoint(q(-3, 5), q(7, 2)))
+        if variant == PARALLEL:
+            shift = (q(3, 4), q(-2, 3))
+            cfg = DesarguesConfig(a, b, c, *(p.translate(shift) for p in (a, b, c)), variant)
+        else:
+            center = PlanePoint(q(1, 7), q(-1, 2))
+            cfg = DesarguesConfig(a, b, c, *(
+                center.translate(scale_direction(q(-3, 2), center.displacement_to(p)))
+                for p in (a, b, c)), variant, center)
+        counts = count_rational_ops(monkeypatch)
+        assert check_desargues(cfg) is True
+        assert dict(counts) == expected

@@ -420,6 +420,25 @@ class TestDesarguesCommand:
         assert main(["desargues", "--config", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error[ExpressionSyntaxError]: {message} at offset 0\n")
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        """The README's example file reads the same with a UTF-8 BOM."""
+        text = README.read_text(encoding="utf-8")
+        config = re.search(r"### Configuration files.*?```\n(.*?)```", text, re.S)[1]
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(config.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + config.encode("utf-8"))
+        assert main(["desargues", "--config", str(plain)]) == 0
+        expected = capsys.readouterr()
+        assert main(["desargues", "--config", str(marked)]) == 0
+        assert capsys.readouterr() == expected and expected.out
+
+    def test_bad_byte_after_a_byte_order_mark_is_at_its_file_offset(self, capsys, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"\xef\xbb\xbfA=(1,2)\xff")  # 0xFF is byte 10 of the file
+        assert main(["desargues", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == ("error[ExpressionSyntaxError]: config is not "
+                                           "UTF-8 (invalid start byte) at offset 10\n")
+
     def test_loader_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text(CONCURRENT_CONFIG)

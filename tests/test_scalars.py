@@ -548,6 +548,55 @@ class TestQuaternionStorage:
             assert twin == a and hash(twin) == hash(a) == hash(a._key())
 
 
+class TestKeyStorage:
+    """A rational and a GF(p) residue are one key tuple ``_v``, as a quaternion is."""
+
+    #: Protocol 0 and 4 pickles of Rational(-3, 4) and PrimeFieldElement(3, 7),
+    #: made when each stored two slots: numerator and denominator, residue and modulus.
+    PICKLES = {
+        "rational-0": b"ccopy_reg\n_reconstructor\np0\n(cskewplane.scalars\nRational\np1\n"
+                      b"c__builtin__\nobject\np2\nNtp3\nRp4\n(N(dp5\nVnumerator\np6\nI-3\n"
+                      b"sVdenominator\np7\nI4\nstp8\nb.",
+        "rational-4": b"\x80\x04\x95N\x00\x00\x00\x00\x00\x00\x00\x8c\x11skewplane.scalars"
+                      b"\x94\x8c\x08Rational\x94\x93\x94)\x81\x94N}\x94(\x8c\tnumerator\x94J"
+                      b"\xfd\xff\xff\xff\x8c\x0bdenominator\x94K\x04u\x86\x94b.",
+        "gfp-0": b"ccopy_reg\n_reconstructor\np0\n(cskewplane.scalars\nPrimeFieldElement\n"
+                 b"p1\nc__builtin__\nobject\np2\nNtp3\nRp4\n(N(dp5\nVresidue\np6\nI3\n"
+                 b"sVmodulus\np7\nI7\nstp8\nb.",
+        "gfp-4": b"\x80\x04\x95N\x00\x00\x00\x00\x00\x00\x00\x8c\x11skewplane.scalars"
+                 b"\x94\x8c\x11PrimeFieldElement\x94\x93\x94)\x81\x94N}\x94(\x8c\x07"
+                 b"residue\x94K\x03\x8c\x07modulus\x94K\x07u\x86\x94b.",
+    }
+
+    @pytest.mark.parametrize("name", PICKLES)
+    def test_stored_pickles_load(self, name):
+        value = pickle.loads(self.PICKLES[name])
+        fresh, key = ((Rational(-3, 4), (-3, 4)) if name.startswith("rational")
+                      else (PrimeFieldElement(3, 7), (3, 7)))
+        assert type(value) is type(fresh) and value == fresh and hash(value) == hash(fresh)
+        assert value._v == key and value.__getstate__() == (None, {"_v": key})
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(value, protocol))
+            assert again._v == key and type(again._v) is tuple
+
+    @pytest.mark.parametrize("value, public", [
+        (Rational(-3, 4), {"numerator": -3, "denominator": 4}),
+        (PrimeFieldElement(10, 7), {"residue": 3, "modulus": 7}),
+        (RationalQuaternion(Fraction(1, 2), -3), {}),
+    ], ids=["rational", "gfp", "quaternion"])
+    def test_one_key_slot_and_read_only_fields(self, value, public):
+        assert type(value).__slots__ == ("_v",) and value._key() is value._v
+        assert hash(value) == hash(value._v)
+        for name, expected in public.items():
+            assert getattr(value, name) == expected
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(value, name, 0)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            value._v = value._v
+
+
 class TestFields:
     def test_field_metadata(self):
         assert not RationalField().finite and not QuaternionField().finite
@@ -578,3 +627,15 @@ class TestFields:
             expected = PrimeFieldElement(reference.randrange(p), p)
             assert (value.residue, value.modulus) == (expected.residue, p)
             assert type(value.residue) is int
+
+    def test_rational_draws_match_the_public_constructor(self):
+        """A rational draw is one of the prebuilt values; draw for draw it
+        is the value the constructor makes of the same two ``randint``."""
+        field, draws, reference = RationalField(), random.Random(5), random.Random(5)
+        for _ in range(500):
+            value = field.random_element(draws)
+            expected = Rational(reference.randint(-8, 8), reference.randint(1, 6))
+            assert type(value) is Rational and value._v == expected._v
+            n, d = value._v
+            assert type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
+        assert draws.getstate() == reference.getstate()
