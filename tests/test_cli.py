@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, files, and the exit-code contract."""
 
 import ast
+import gc
 import io
 import os
 import re
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, strategies as st
@@ -601,11 +603,63 @@ class TestEntry:
     ], ids=["exit 0", "exit 3"])
     def test_entry_exits_with_the_status_of_main(self, monkeypatch, capsys,
                                                  argv, code, out, err):
+        """``entry`` also freezes the heap for the rest of the process: the
+        test thaws it, so the rest of the session collects as usual."""
         monkeypatch.setattr(sys, "argv", ["skewplane", *argv])
-        with pytest.raises(SystemExit) as excinfo:
-            entry()
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                entry()
+            frozen = gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+        assert frozen > 0 and gc.get_freeze_count() == 0
         assert excinfo.value.code == code
         assert capsys.readouterr() == (out, err)
+
+
+def _in_process(argv):
+    """``main(argv)``'s exit code, stdout and stderr, an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestProcess:
+    """``python -m skewplane.cli`` in a child process, which runs ``entry``
+    and exits with the heap frozen, prints the bytes that ``main`` prints."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", "cr(2,3;1,5)"], 0),
+        (["construct", "mul", "--a", "2", "--b", "3", "--aux", "(0,1)", "--svg", "out.svg"], 0),
+        (["verify", "--family", "A", "--base", "(3,0,0,0),(0,1,0,0),(0,0,1,1)",
+          "--backend", "quaternion", "--count", "5"], 0),
+        (["eval"], 2),
+        (["eval", "0^-1"], 3),
+    ], ids=["eval", "construct svg", "verify quaternion", "usage error", "degenerate"])
+    def test_process_matches_main(self, argv, code, tmp_path, monkeypatch):
+        """Each side runs in a directory of its own, so ``out.svg`` names
+        one file per side and stdout reads the same path on both."""
+        for side in ("process", "main"):
+            (tmp_path / side).mkdir()
+        path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        child = subprocess.run([sys.executable, "-m", "skewplane.cli", *argv],
+                               cwd=tmp_path / "process", capture_output=True,
+                               env=dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING="utf-8"))
+        monkeypatch.chdir(tmp_path / "main")
+        status, out, err = _in_process(argv)
+        assert status == code
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, out.encode("utf-8"), err.encode("utf-8"))
+        drawings = [tmp_path / side / "out.svg" for side in ("process", "main")]
+        if "--svg" in argv:
+            ElementTree.parse(drawings[0])
+            assert drawings[0].read_bytes() == drawings[1].read_bytes()
+        else:
+            assert not any(drawing.exists() for drawing in drawings)
 
 
 class TestStartup:
@@ -637,22 +691,53 @@ class TestStartup:
     def test_no_module_imports_fractions(self):
         """``fractions`` is the test reference only: no module of the
         package imports it, save for type checkers under ``TYPE_CHECKING``."""
-        paths, found = sorted((SRC / "skewplane").glob("*.py")), []
-        for path in paths:
-            nodes = [ast.parse(path.read_text(encoding="utf-8"))]
-            while nodes:
-                node = nodes.pop()
-                if isinstance(node, ast.If) and ast.unparse(node.test) in (
-                        "TYPE_CHECKING", "typing.TYPE_CHECKING"):
-                    nodes.extend(node.orelse)
-                    continue
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                else:
-                    names = []
-                if any(name.partition(".")[0] == "fractions" for name in names):
-                    found.append(f"{path.name}:{node.lineno}")
-                nodes.extend(ast.iter_child_nodes(node))
-        assert paths and found == []
+        found = []
+        for path, node in _package_nodes():
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(name.partition(".")[0] == "fractions" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_no_module_cleans_up_at_exit(self):
+        """``entry`` freezes the heap, so at exit no collection finalizes the
+        package's objects: no module may depend on one, through a
+        ``__del__``, a ``weakref.finalize`` or an ``atexit`` hook."""
+        found = []
+        for path, node in _package_nodes():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hit = node.name == "__del__"
+            elif isinstance(node, ast.Import):
+                hit = any(alias.name == "atexit" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == "atexit" or (
+                    node.module == "weakref"
+                    and any(alias.name == "finalize" for alias in node.names))
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr == "finalize" and ast.unparse(node.value) == "weakref"
+            else:
+                hit = False
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+
+def _package_nodes():
+    """Each module of ``src/skewplane`` with each of its syntax nodes, save
+    those under ``if TYPE_CHECKING:``, which never run."""
+    paths = sorted((SRC / "skewplane").glob("*.py"))
+    assert paths
+    for path in paths:
+        nodes = [ast.parse(path.read_text(encoding="utf-8"))]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                    "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+                nodes.extend(node.orelse)
+                continue
+            yield path, node
+            nodes.extend(ast.iter_child_nodes(node))
