@@ -309,6 +309,7 @@ def generate_desargues_config(field: ScalarField, variant: str,
     if getattr(field, "p", None) == 2:
         raise InvalidConfigurationError("gfp(2) has no Desargues configuration")
     rng = random.Random(seed)
+    one = field.one() if variant == CONCURRENT else None
 
     def random_point() -> PlanePoint:
         return _point(field.random_element(rng), field.random_element(rng))
@@ -328,7 +329,7 @@ def generate_desargues_config(field: ScalarField, variant: str,
         else:
             center = random_point()
             scale = field.random_element(rng)
-            if scale.is_zero() or scale == field.one():
+            if scale.is_zero() or scale == one:
                 continue
             cfg = _dilated(a, b, c, ab, center, scale)
         if cfg is not None:

@@ -43,6 +43,9 @@ g's trace t_g = g + conj(g) and norm n_g = g conj(g), and psi vanishes
 exactly where t = t_g and n = n_g: so A omits [g] but h, where [g] is
 the class of the values with g's real part and norm, g's conjugacy
 class; for a real g or a commutative field [g] is g alone, and h = g.
+The base's points are coordinates in one frame: read in another, whose
+O and I sit at t0 and t1, the values, omega, h and so the image are
+conjugated by t1 - t0, as the cross-ratio is (``ratios``), and g stays.
 
 The inverse map, the cross-ratio with the contents of the two final
 slots swapped, is the map of the swapped base: A and B on (p0, p2, p1),

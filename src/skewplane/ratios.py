@@ -11,6 +11,12 @@ field and is never rearranged:
 The cross-ratio precondition is exactly that the two inverted
 differences are nonzero (A != D and B != C), not the stricter classical
 condition that no three of the four points coincide.
+
+The cross-ratio is unchanged by a left-affine map t -> m t + c of the
+coordinates, and conjugated to m^-1 cr m by a right-affine t -> t m + c,
+the kind a change of frame makes: reading the line in the frame whose O
+and I sit at t0 and t1 conjugates it by t1 - t0, so over the quaternions
+only its real part and norm are frame-free.
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ not 1, writes the key through its slot descriptor, past both the
 constructor's checks and :class:`Immutable`'s guard, and takes an operand
 of its own class as it is, without the ``_coerce`` call that an ``int`` or
 an alien operand goes through.  ``_from_int`` builds without validating
-too, and so do the draws: GF(p) draws from ``range(p)``, a canonical
-residue, and the rationals pick one of 102 values built at import.
+too, and so do the draws: GF(p) draws a canonical residue below p, a
+rational is one of 102 values built at import, and a quaternion's four
+components are 27 of them, written over their lcm denominator.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ RationalLike = Union[int, "Fraction"]
 
 _new = object.__new__
 _gcd = math.gcd
+_lcm = math.lcm
 
 
 def _ratio(value, denominator=1) -> tuple:
@@ -353,7 +355,9 @@ class Rational(SkewScalar):
 
 _set_rational = Rational._v.__set__
 #: The 102 values n/d, n in -8..8 and d in 1..6, that
-#: ``RationalField.random_element`` draws: row n + 8, column d - 1.
+#: ``RationalField.random_element`` draws: row n + 8, column d - 1.  The
+#: components of ``QuaternionField.random_element``, n in -4..4 and d in
+#: 1..3, are the keys of its rows 4 to 12, columns 0 to 2.
 _RATIONAL_DRAWS = tuple(tuple(Rational(n, d) for d in range(1, 7)) for n in range(-8, 9))
 
 
@@ -673,7 +677,14 @@ class ScalarField(ABC):
 
     @abstractmethod
     def random_element(self, rng) -> SkewScalar:
-        """A small random element, drawn from the explicit ``rng``."""
+        """A small random element, drawn from the explicit ``rng``.
+
+        Each backend reads ``rng.getrandbits`` as ``random.Random.randint``
+        and ``randrange`` do, k = n.bit_length() bits for a value below n,
+        drawn again while n or more, so a seed gives the values and the
+        generator state those formulas give.  A subclass of ``Random`` that
+        overrides only ``random()`` has its ``randint`` read ``random()``;
+        its draws are valid values, but not those of its ``randint``."""
 
     def random_nonzero(self, rng) -> SkewScalar:
         value = self.random_element(rng)
@@ -703,7 +714,16 @@ class RationalField(ScalarField):
         return Rational(n)
 
     def random_element(self, rng) -> Rational:
-        return _RATIONAL_DRAWS[rng.randint(-8, 8) + 8][rng.randint(1, 6) - 1]
+        """n/d for ``randint(-8, 8)`` and ``randint(1, 6)``: 5 bits below
+        17, then 3 bits below 6, index ``_RATIONAL_DRAWS``."""
+        getrandbits = rng.getrandbits
+        n = getrandbits(5)
+        while n >= 17:
+            n = getrandbits(5)
+        d = getrandbits(3)
+        while d >= 6:
+            d = getrandbits(3)
+        return _RATIONAL_DRAWS[n][d]
 
 
 class PrimeField(ScalarField):
@@ -723,8 +743,14 @@ class PrimeField(ScalarField):
         return PrimeFieldElement(n, self.p)
 
     def random_element(self, rng) -> PrimeFieldElement:
+        """The residue ``randrange(p)``: p.bit_length() bits below p."""
+        p = self.p
+        k = p.bit_length()
+        r = rng.getrandbits(k)
+        while r >= p:
+            r = rng.getrandbits(k)
         out = _new(PrimeFieldElement)
-        _set_gfp(out, (rng.randrange(self.p), self.p))  # in range: canonical as drawn
+        _set_gfp(out, (r, p))  # in range: canonical as drawn
         return out
 
     def elements(self) -> Iterator[PrimeFieldElement]:
@@ -750,6 +776,21 @@ class QuaternionField(ScalarField):
         return RationalQuaternion(0, 0, 0, 1)
 
     def random_element(self, rng) -> RationalQuaternion:
-        return RationalQuaternion(*(
-            Rational(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)
-        ))
+        """Four components n/d, each ``randint(-4, 4)`` and ``randint(1, 3)``:
+        4 bits below 9, then 2 bits below 3, index ``_RATIONAL_DRAWS``."""
+        getrandbits = rng.getrandbits
+        parts = []
+        for _ in range(4):
+            n = getrandbits(4)
+            while n >= 9:
+                n = getrandbits(4)
+            d = getrandbits(2)
+            while d >= 3:
+                d = getrandbits(2)
+            parts.append(_RATIONAL_DRAWS[n + 4][d]._v)
+        (a, p), (b, q), (c, r), (e, s) = parts
+        # reduced components: the lcm of their denominators is already canonical
+        d = _lcm(p, q, r, s)
+        out = _new(RationalQuaternion)
+        _set_quaternion(out, (a * (d // p), b * (d // q), c * (d // r), e * (d // s), d))
+        return out

@@ -28,6 +28,17 @@ from skewplane.scalars import (
 )
 
 
+def randint_rational(rng):
+    """What ``RationalField.random_element`` draws, from ``randint``."""
+    return Rational(rng.randint(-8, 8), rng.randint(1, 6))
+
+
+def randint_quaternion(rng):
+    """What ``QuaternionField.random_element`` draws, from ``randint``."""
+    return RationalQuaternion(*(Rational(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(4)))
+
+
 class TestRational:
     def test_canonical_form(self):
         assert Rational(2, 4) == Rational(1, 2)
@@ -639,3 +650,65 @@ class TestFields:
             n, d = value._v
             assert type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
         assert draws.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 257, 2**61 - 1])
+    def test_prime_draws_follow_randrange(self, p):
+        """Draw for draw, a GF(p) draw is ``randrange(p)`` and leaves the
+        same generator state; 257, just above 2**8, rejects almost half of
+        its 9-bit draws and 2 half of its 2-bit ones."""
+        field, draws, reference = PrimeField(p), random.Random(11), random.Random(11)
+        for _ in range(300):
+            value = field.random_element(draws)
+            assert value._v == PrimeFieldElement(reference.randrange(p), p)._v
+        assert draws.getstate() == reference.getstate()
+
+    def test_quaternion_draws_match_the_public_constructor(self):
+        """A quaternion draw is the value the constructors make of the same
+        eight ``randint``, written in canonical form."""
+        field, draws, reference = QuaternionField(), random.Random(5), random.Random(5)
+        for _ in range(500):
+            value = field.random_element(draws)
+            expected = randint_quaternion(reference)
+            assert type(value) is RationalQuaternion and value._v == expected._v
+            *n, d = value._v
+            assert all(type(x) is int for x in value._v) and d > 0 and math.gcd(*n, d) == 1
+        assert draws.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("field, formula", [
+        (RationalField(), randint_rational),
+        (PrimeField(257), lambda r: PrimeFieldElement(r.randrange(257), 257)),
+        (QuaternionField(), randint_quaternion),
+    ], ids=["rational", "gfp257", "quaternion"])
+    def test_draws_between_random_calls_keep_the_stream(self, field, formula):
+        """Draws interleaved with ``random()``, as ``random_expression`` makes
+        them, consume the generator as ``randint``/``randrange`` do."""
+        draws, reference = random.Random(3), random.Random(3)
+        for _ in range(200):
+            assert draws.random() == reference.random()
+            assert field.random_element(draws)._v == formula(reference)._v
+        assert draws.getstate() == reference.getstate()
+
+    def test_a_generator_overriding_only_random_still_draws_valid_values(self):
+        """Draws read ``getrandbits``, which a subclass overriding only
+        ``random()`` inherits from the Mersenne Twister.  Its ``randint``
+        reads ``random()`` instead, so the draws differ from it, but each
+        is one of the values the formula can give."""
+        class Constant(random.Random):
+            def random(self):
+                return 0.5
+
+        rationals = {Rational(n, d)._v for n in range(-8, 9) for d in range(1, 7)}
+        parts = {Rational(n, d)._v for n in range(-4, 5) for d in range(1, 4)}
+        cases = [
+            (RationalField(), randint_rational, lambda v: v._v in rationals),
+            (PrimeField(5), lambda r: PrimeFieldElement(r.randrange(5), 5),
+             lambda v: 0 <= v.residue < 5),
+            (QuaternionField(), randint_quaternion,
+             lambda v: all(c._v in parts for c in v.components())),
+        ]
+        for field, formula, valid in cases:
+            draws, reference = Constant(9), Constant(9)
+            values = [field.random_element(draws) for _ in range(100)]
+            assert all(map(valid, values))
+            assert len({formula(reference)._v for _ in range(100)}) == 1  # random() is constant
+            assert len({v._v for v in values}) > 1
