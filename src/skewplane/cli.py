@@ -63,6 +63,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 
+#: The point keys of a Desargues configuration file, in the order of
+#: :class:`DesarguesConfig`'s fields.
+_POINT_KEYS = ("A", "B", "C", "A'", "B'", "C'")
+
 
 def parse_backend(name: str) -> ScalarField:
     """Backend selector: ``rational``, ``quaternion``, or ``gfp(p)``."""
@@ -147,22 +151,19 @@ def load_desargues_config(path: str, field: ScalarField) -> DesarguesConfig:
                 else:
                     raise ExpressionSyntaxError(
                         f"unknown variant {value!r}", value_column)
-            elif key in ("A", "B", "C", "A'", "B'", "C'"):
+            elif key in _POINT_KEYS:
                 entries[key] = _config_point(value, value_column, field)
             else:
                 raise ExpressionSyntaxError(f"unknown key {key!r}", key_column)
         except ExpressionSyntaxError as exc:
             raise ExpressionSyntaxError(
                 f"config line {number}: {exc.message}", exc.position) from None
-    missing = [k for k in ("A", "B", "C", "A'", "B'", "C'") if k not in entries]
+    missing = [k for k in _POINT_KEYS if k not in entries]
     if missing:
         raise ExpressionSyntaxError(f"config is missing {', '.join(missing)}", 0)
     if "variant" not in entries:
         raise ExpressionSyntaxError("config is missing the variant line", 0)
-    return DesarguesConfig(
-        a=entries["A"], b=entries["B"], c=entries["C"],
-        ap=entries["A'"], bp=entries["B'"], cp=entries["C'"],
-        variant=entries["variant"], center=center)
+    return DesarguesConfig(*(entries[k] for k in _POINT_KEYS), entries["variant"], center)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ return is a bug alarm, not a geometric discovery.
 from __future__ import annotations
 
 import random
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import (
     AuxOnBaseLineError,
@@ -38,7 +38,6 @@ from .errors import (
     PointOffBaseLineError,
 )
 from .plane import (
-    Direction,
     PlaneLine,
     PlanePoint,
     _point,
@@ -253,30 +252,16 @@ def check_desargues(cfg: DesarguesConfig) -> bool:
     return is_parallel(*validate_desargues_config(cfg))
 
 
-def _translated(a: PlanePoint, b: PlanePoint, c: PlanePoint, ab: PlaneLine,
-                shift: Direction) -> Optional[DesarguesConfig]:
-    """Triangle ABC moved by the nonzero ``shift``, or None when a side is
-    parallel to the shift: a side through a vertex V is iff V's image
-    lies on it, so A' tests AB and AC, and B' tests BC."""
-    ap, bp = a.translate(shift), b.translate(shift)
+def _transformed(a: PlanePoint, b: PlanePoint, c: PlanePoint, ab: PlaneLine,
+                 move: Callable[[PlanePoint], PlanePoint], variant: str,
+                 center: Optional[PlanePoint] = None) -> Optional[DesarguesConfig]:
+    """Triangle ABC under ``move``, or None when the move fixes a side
+    line: a side line through a vertex V is fixed iff V's image lies on
+    it, so A' tests AB and AC, and B' tests BC."""
+    ap, bp = move(a), move(b)
     if on_line(ap, ab) or on_line(ap, line_through(a, c)) or on_line(bp, line_through(b, c)):
         return None
-    return DesarguesConfig(a, b, c, ap, bp, c.translate(shift), PARALLEL)
-
-
-def _dilated(a: PlanePoint, b: PlanePoint, c: PlanePoint, ab: PlaneLine,
-             center: PlanePoint, scale: SkewScalar) -> Optional[DesarguesConfig]:
-    """Triangle ABC dilated from ``center`` by ``scale`` not in {0, 1}, or
-    None when the center lies on a side line."""
-    if (on_line(center, ab) or on_line(center, line_through(a, c))
-            or on_line(center, line_through(b, c))):
-        return None
-
-    def dilate(p: PlanePoint) -> PlanePoint:
-        return center.translate(scale_direction(scale, center.displacement_to(p)))
-
-    return DesarguesConfig(a, b, c, dilate(a), dilate(b), dilate(c), CONCURRENT,
-                           center=center)
+    return DesarguesConfig(a, b, c, ap, bp, move(c), variant, center)
 
 
 def generate_desargues_config(field: ScalarField, variant: str,
@@ -288,17 +273,14 @@ def generate_desargues_config(field: ScalarField, variant: str,
     or dilated from a center P by a left scalar k not in {0, 1} (concurrent
     variant), which makes the two parallel-side hypotheses hold by
     construction.  What the transformation can still break is decided in
-    closed form from the triangle's side lines, with the same verdict as
-    ``validate_desargues_config``:
-
-    * s is rejected iff some side is parallel to s.  A translation makes
-      every joining line parallel to s, and a side equals its image, as
-      the joining lines through its ends do, iff it is parallel to s.
-    * P is rejected iff it lies on some side line, a vertex included.  A
-      dilation makes AA' the line PA, and a side equals its image, as the
-      joining lines through its ends do, iff P lies on it.
-    * k*(dx, dy) has the canonical direction of (dx, dy) under the left
-      action, so both hold over the quaternions too.
+    closed form, with the same verdict as ``validate_desargues_config``:
+    the candidate is rejected iff the move fixes a side line, for then
+    that side equals its image, as the joining lines through its ends do.
+    A side line through a vertex is fixed iff it holds the vertex's image,
+    so A' is tested on AB and AC, and B' on BC.  A translation by s fixes
+    exactly the lines parallel to s, and a dilation from P exactly the
+    lines through P; k*(dx, dy) has the canonical direction of (dx, dy)
+    under the left action, so this holds over the quaternions too.
 
     GF(2) has no configuration of either variant: its plane has three
     directions, those of any triangle's sides, and no scale lies outside
@@ -325,13 +307,14 @@ def generate_desargues_config(field: ScalarField, variant: str,
             shift = (field.random_element(rng), field.random_element(rng))
             if shift[0].is_zero() and shift[1].is_zero():
                 continue
-            cfg = _translated(a, b, c, ab, shift)
+            cfg = _transformed(a, b, c, ab, lambda p: p.translate(shift), PARALLEL)
         else:
             center = random_point()
             scale = field.random_element(rng)
             if scale.is_zero() or scale == one:
                 continue
-            cfg = _dilated(a, b, c, ab, center, scale)
+            cfg = _transformed(a, b, c, ab, lambda p: center.translate(
+                scale_direction(scale, center.displacement_to(p))), CONCURRENT, center)
         if cfg is not None:
             return cfg
     # the least chance of a round to succeed is GF(3)'s 16/243: 10 000 all fail < 1e-295

@@ -264,12 +264,6 @@ class Rational(SkewScalar):
         _set_rational(out, (n // g, d // g))
         return out
 
-    def __setstate__(self, state):
-        """Restore ``{'_v': ...}``, or the earlier ``{'numerator': ..., 'denominator': ...}``."""
-        slots = state[1]
-        _set_rational(self, slots["_v"] if "_v" in slots else
-                      (slots["numerator"], slots["denominator"]))
-
     @property
     def numerator(self) -> int:
         return self._v[0]
@@ -379,11 +373,6 @@ class PrimeFieldElement(SkewScalar):
         if modulus < 2:
             raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
         _set_gfp(self, (residue % modulus, modulus))
-
-    def __setstate__(self, state):
-        """Restore ``{'_v': ...}``, or the earlier ``{'residue': ..., 'modulus': ...}``."""
-        slots = state[1]
-        _set_gfp(self, slots["_v"] if "_v" in slots else (slots["residue"], slots["modulus"]))
 
     @property
     def residue(self) -> int:
@@ -497,18 +486,6 @@ class RationalQuaternion(SkewScalar):
         # reduced components: the lcm of their denominators is already canonical
         d = math.lcm(*(q for _, q in parts))
         _set_quaternion(self, (*(p * (d // q) for p, q in parts), d))
-
-    @staticmethod
-    def _wrap(n, d) -> "RationalQuaternion":
-        """The value n / d, n four numerators, which must already be canonical."""
-        out = _new(RationalQuaternion)
-        _set_quaternion(out, (*n, d))
-        return out
-
-    def __setstate__(self, state):
-        """Restore ``{'_v': ...}``, or the earlier ``{'_n': ..., '_d': ...}``."""
-        slots = state[1]
-        _set_quaternion(self, slots["_v"] if "_v" in slots else (*slots["_n"], slots["_d"]))
 
     def components(self) -> tuple:
         """The (w, x, y, z) coefficients, each a :class:`Rational` in

@@ -98,6 +98,11 @@ def test_a_higher_failure_share_blocks_the_claim():
     (1e-9, "0.0000000010000"),
     (1.5e20, "150000000000000000000"),
     (-2.5e-7, "-0.00000025000"),
+    # rounding carries into the next power of ten
+    (0.09999999999999432, "0.10000"),
+    (9.99999, "10.000"),
+    (-9.99999, "-10.000"),
+    (99999.7, "100000"),
 ])
 def test_number_never_prints_an_exponent(x, text):
     assert abpairs.number(x) == text

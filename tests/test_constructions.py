@@ -18,8 +18,7 @@ from skewplane.constructions import (
     generate_desargues_config,
     geometric_add,
     geometric_mul,
-    _dilated,
-    _translated,
+    _transformed,
     trace_addition,
     trace_multiplication,
     validate_desargues_config,
@@ -335,26 +334,23 @@ def is_valid(cfg):
     return True
 
 
-def assert_same_verdict(generated, cfg):
+def assert_same_verdict(a, b, c, ab, move, variant, center=None):
     """The generator's closed form keeps exactly the candidates the full
     validator accepts, and builds the same configuration from them."""
+    generated = _transformed(a, b, c, ab, move, variant, center)
+    cfg = DesarguesConfig(a, b, c, move(a), move(b), move(c), variant, center)
     assert (generated is not None) == is_valid(cfg)
     if generated is not None:
         assert generated == cfg
 
 
-def translated(a, b, c, shift):
-    return DesarguesConfig(a, b, c, a.translate(shift), b.translate(shift),
-                           c.translate(shift), PARALLEL)
+def translation(shift):
+    return lambda p: p.translate(shift)
 
 
-def dilated(a, b, c, center, scale):
-    def dilate(p):
-        return PlanePoint(center.x + scale * (p.x - center.x),
-                          center.y + scale * (p.y - center.y))
-
-    return DesarguesConfig(a, b, c, dilate(a), dilate(b), dilate(c), CONCURRENT,
-                           center=center)
+def dilation(center, scale):
+    return lambda p: PlanePoint(center.x + scale * (p.x - center.x),
+                                center.y + scale * (p.y - center.y))
 
 
 def gf5_triangles():
@@ -394,15 +390,15 @@ ZERO = RationalQuaternion(0)
 
 
 class TestGeneratorClosedForm:
-    """``_translated`` and ``_dilated`` reject exactly the candidates on
-    which ``validate_desargues_config`` raises."""
+    """``_transformed`` rejects exactly the translated and the dilated
+    candidates on which ``validate_desargues_config`` raises."""
 
     def test_exhaustive_gf5_translations(self):
         values = list(PrimeField(5).elements())
         shifts = [(x, y) for x, y in product(values, values) if not (x.is_zero() and y.is_zero())]
         for a, b, c, ab in gf5_triangles():
             for shift in shifts:
-                assert_same_verdict(_translated(a, b, c, ab, shift), translated(a, b, c, shift))
+                assert_same_verdict(a, b, c, ab, translation(shift), PARALLEL)
 
     # one test per scale keeps each under about a second
     @pytest.mark.parametrize("scale", [2, 3, 4])
@@ -412,8 +408,7 @@ class TestGeneratorClosedForm:
         centers = [PlanePoint(x, y) for x, y in product(values, values)]
         for a, b, c, ab in gf5_triangles():
             for center in centers:
-                assert_same_verdict(_dilated(a, b, c, ab, center, k),
-                                    dilated(a, b, c, center, k))
+                assert_same_verdict(a, b, c, ab, dilation(center, k), CONCURRENT, center)
 
     @given(candidates())
     # on the triangle (0, 0), (i, j), (j, k): the shift i(i, j) is parallel
@@ -429,9 +424,8 @@ class TestGeneratorClosedForm:
         ab = line_through(a, b)
         assume(not on_line(c, ab))
         if not (shift[0].is_zero() and shift[1].is_zero()):
-            assert_same_verdict(_translated(a, b, c, ab, shift), translated(a, b, c, shift))
-        assert_same_verdict(_dilated(a, b, c, ab, center, scale),
-                            dilated(a, b, c, center, scale))
+            assert_same_verdict(a, b, c, ab, translation(shift), PARALLEL)
+        assert_same_verdict(a, b, c, ab, dilation(center, scale), CONCURRENT, center)
 
 
 class TestGeneratorWork:
@@ -440,10 +434,10 @@ class TestGeneratorWork:
 
     # Parallel: AB for the triangle test (1 line_through, C on AB: 1 on_line),
     # then AC and BC (2 line_through) with A' tested on AB and AC and B' on
-    # BC (3 on_line): 3 lines and 4 tests.  Concurrent: the same triangle
-    # test, then the center tested on AB, AC and BC: again 3 and 4.  The
-    # full validator builds 9 lines (3 joining lines, 6 sides), so a
-    # generator that also runs it reads at least 12 line_through.
+    # BC (3 on_line): 3 lines and 4 tests.  Concurrent: the same, with A'
+    # and B' the dilated vertices: again 3 and 4.  The full validator
+    # builds 9 lines (3 joining lines, 6 sides), so a generator that also
+    # runs it reads at least 12 line_through.
     @pytest.mark.parametrize("variant, draws", [(PARALLEL, 8), (CONCURRENT, 9)])
     def test_one_accepted_candidate(self, monkeypatch, variant, draws):
         field = RationalField()

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import statistics
 import subprocess
 import sys
@@ -63,10 +62,12 @@ def run(tree: Path, workload: str, seed: int) -> dict:
 
 def number(x: float) -> str:
     """``x`` to ``DIGITS`` significant digits in positional notation, never
-    with an exponent: 10600.3 reads ``10600``, 8.1834 ``8.1834``."""
+    with an exponent: 10600.3 reads ``10600``, 8.1834 ``8.1834``.  The
+    decimals follow the rounded value, so 9.99999 reads ``10.000``."""
     if not x:
         return "0"
-    return f"{x:.{max(0, DIGITS - 1 - math.floor(math.log10(abs(x))))}f}"
+    exponent = int(f"{x:.{DIGITS - 1}e}".partition("e")[2])
+    return f"{x:.{max(0, DIGITS - 1 - exponent)}f}"
 
 
 def quartiles(values):
