@@ -25,7 +25,6 @@ import argparse
 import codecs
 import gc
 import sys
-from typing import List, Optional
 
 from .constructions import (
     CONCURRENT,
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "count", 1) < 1:

@@ -29,7 +29,7 @@ return is a bug alarm, not a geometric discovery.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional, Tuple
+from collections.abc import Callable
 
 from .errors import (
     AuxOnBaseLineError,
@@ -112,7 +112,7 @@ class ConstructionTrace(Immutable, Record):
 
     def __init__(self, kind: str, frame: LineFrame, a: PlanePoint, b: PlanePoint,
                  aux: PlanePoint, p1: PlanePoint, result: PlanePoint,
-                 lines: Tuple[Tuple[str, PlaneLine], ...]):
+                 lines: tuple[tuple[str, PlaneLine], ...]):
         self._init(kind, frame, a, b, aux, p1, result, lines)
 
 
@@ -127,7 +127,7 @@ def _check_construction_inputs(frame: LineFrame, a: PlanePoint, b: PlanePoint,
 
 
 def _step3(kind: str, frame: LineFrame, a: PlanePoint, b: PlanePoint, aux: PlanePoint,
-           p1: PlanePoint, lines: Tuple[Tuple[str, PlaneLine], ...]) -> ConstructionTrace:
+           p1: PlanePoint, lines: tuple[tuple[str, PlaneLine], ...]) -> ConstructionTrace:
     """Step 3, which both constructions end with: the parallel to B-aux
     through P1 meets the frame line in the result.  The trace lists
     ``lines`` and then B-aux and the step-3 line."""
@@ -198,7 +198,7 @@ class DesarguesConfig(Immutable, Record):
 
     def __init__(self, a: PlanePoint, b: PlanePoint, c: PlanePoint, ap: PlanePoint,
                  bp: PlanePoint, cp: PlanePoint, variant: str,
-                 center: Optional[PlanePoint] = None):
+                 center: PlanePoint | None = None):
         self._init(a, b, c, ap, bp, cp, variant, center)
         if variant not in (PARALLEL, CONCURRENT):
             raise InvalidConfigurationError(f"unknown variant {variant!r}")
@@ -206,7 +206,7 @@ class DesarguesConfig(Immutable, Record):
             raise InvalidConfigurationError("concurrent variant needs a center point")
 
 
-def validate_desargues_config(cfg: DesarguesConfig) -> Tuple[PlaneLine, PlaneLine]:
+def validate_desargues_config(cfg: DesarguesConfig) -> tuple[PlaneLine, PlaneLine]:
     """Check every hypothesis of the axiom; raise naming the first failure.
 
     Returns the lines AC and A'C' whose parallelism is the conclusion.
@@ -254,7 +254,7 @@ def check_desargues(cfg: DesarguesConfig) -> bool:
 
 def _transformed(a: PlanePoint, b: PlanePoint, c: PlanePoint, ab: PlaneLine,
                  move: Callable[[PlanePoint], PlanePoint], variant: str,
-                 center: Optional[PlanePoint] = None) -> Optional[DesarguesConfig]:
+                 center: PlanePoint | None = None) -> DesarguesConfig | None:
     """Triangle ABC under ``move``, or None when the move fixes a side
     line: a side line through a vertex V is fixed iff V's image lies on
     it, so A' tests AB and AC, and B' tests BC."""

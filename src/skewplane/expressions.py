@@ -31,10 +31,9 @@ import operator
 import random
 from collections import namedtuple
 from functools import partial
-from typing import List, Optional, Tuple
 
 from .errors import ExpressionSyntaxError
-from .maps import CrossRatioBase, Family, _random_points
+from .maps import CrossRatioBase, Family, _holds_a_base, _random_points
 from .maps import evaluate as map_evaluate
 from .plane import PlanePoint
 from .ratios import cross_ratio, ratio2, ratio3
@@ -120,8 +119,8 @@ _DIGITS = frozenset("0123456789")
 _Token = namedtuple("_Token", "kind text pos")
 
 
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -280,7 +279,7 @@ class _Parser:
             node = self._checked(Inv(node), self.advance())
         return node
 
-    def _literal_here(self) -> Optional[Literal]:
+    def _literal_here(self) -> Literal | None:
         """A literal starting at the cursor, or None if something else starts.
 
         A bare integer can only begin a literal (outside the quaternion
@@ -334,7 +333,7 @@ class _Parser:
         self.nesting -= 1
         return result
 
-    def _arguments(self, *separators: str) -> List[Node]:
+    def _arguments(self, *separators: str) -> list[Node]:
         """Expressions separated by ``separators`` in turn, then ``)``."""
         parsed = [self.parse_expression()]
         for separator in separators:
@@ -407,11 +406,11 @@ def parse_point(text: str, field: ScalarField) -> PlanePoint:
     return _parse_complete(text, field, point)
 
 
-def parse_scalar_list(text: str, field: ScalarField) -> Tuple[SkewScalar, ...]:
+def parse_scalar_list(text: str, field: ScalarField) -> tuple[SkewScalar, ...]:
     """Parse a comma-separated list of scalar literals (e.g. a map base);
     each may be negated."""
 
-    def scalar_list(parser: _Parser) -> Tuple[SkewScalar, ...]:
+    def scalar_list(parser: _Parser) -> tuple[SkewScalar, ...]:
         values = [parser._parse_signed_literal()]
         while parser.peek().kind == ",":
             parser.advance()
@@ -440,6 +439,7 @@ def evaluate_expression(node: Node) -> SkewScalar:
 # random ASTs (drives the round-trip and CLI-equivalence suites)
 
 _RANDOM_KINDS = (Add, Sub, Mul, Neg, Inv, Ratio2, Ratio3, CrossRatioNode, MapNode)
+_KINDS_WITHOUT_A_BASE = tuple(kind for kind in _RANDOM_KINDS if kind is not MapNode)
 
 
 def random_expression(field: ScalarField, rng: random.Random, depth: int = 3) -> Node:
@@ -447,11 +447,13 @@ def random_expression(field: ScalarField, rng: random.Random, depth: int = 3) ->
 
     Negative literal values appear as negative literals (never as
     ``Neg(Literal)``), matching the parser's constant folding, so every
-    generated tree survives a print/parse round trip structurally.
+    generated tree survives a print/parse round trip structurally.  A
+    field too small for a cross-ratio base draws no map node.
     """
     if depth <= 0 or rng.random() < 0.25:
         return Literal(field.random_element(rng))
-    kind = rng.choice(_RANDOM_KINDS)
+    kinds = _RANDOM_KINDS if _holds_a_base(field) else _KINDS_WITHOUT_A_BASE
+    kind = rng.choice(kinds)
     sub = lambda: random_expression(field, rng, depth - 1)
     if kind is MapNode:
         points = _random_points(field, rng)

@@ -82,7 +82,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Callable, List, Optional, Tuple
+from collections.abc import Callable
 
 from .errors import (
     InvalidBaseError,
@@ -125,7 +125,7 @@ class CrossRatioBase(Immutable, Record):
     __slots__ = ("family", "points", "_str", "_singular", "_zero", "_unit",
                  "_constants", "_inverse_constants")
 
-    def __init__(self, family: Family, points: Tuple[SkewScalar, SkewScalar, SkewScalar]):
+    def __init__(self, family: Family, points: tuple[SkewScalar, SkewScalar, SkewScalar]):
         if not isinstance(family, Family):
             raise TypeError(f"a cross-ratio base's family must be a Family, "
                             f"got {type(family).__name__}")
@@ -153,7 +153,7 @@ class CrossRatioBase(Immutable, Record):
     def __repr__(self) -> str:
         return f"CrossRatioBase(family={self.family!r}, points={self.points!r})"
 
-    def slots(self, x: SkewScalar) -> Tuple[SkewScalar, ...]:
+    def slots(self, x: SkewScalar) -> tuple[SkewScalar, ...]:
         """The full four-slot argument list with x in the free slot."""
         slots = list(self.points)
         slots.insert(_FREE_SLOT[self.family], x)
@@ -233,7 +233,7 @@ def _factors(base: CrossRatioBase):
     return factors, _inverted(factors)
 
 
-def _inverted(factors) -> Tuple[SkewScalar, ...]:
+def _inverted(factors) -> tuple[SkewScalar, ...]:
     """The constants of the normal form's pointwise inverse map, whose
     singular and zero points are the map's zero and singular points:
     omega^-1 - omega^-1 P (X-Z0)^-1 Q omega^-1, where omega^-1 P is 1
@@ -281,13 +281,21 @@ class SampleSet(Immutable, Record):
 
     __slots__ = ("values", "rejections")
 
-    def __init__(self, values: Tuple[SkewScalar, ...], rejections: int = 0):
+    def __init__(self, values: tuple[SkewScalar, ...], rejections: int = 0):
         self._init(values, rejections)
 
 
-def _random_points(field: ScalarField, rng: random.Random) -> Tuple[SkewScalar, ...]:
+def _holds_a_base(field: ScalarField) -> bool:
+    """Whether the field has three distinct nonzero points; GF(2) and GF(3)
+    have fewer."""
+    return not field.finite or field.p > 3
+
+
+def _random_points(field: ScalarField, rng: random.Random) -> tuple[SkewScalar, ...]:
     """Three pairwise distinct nonzero random points: a valid base."""
-    points: List[SkewScalar] = []
+    if not _holds_a_base(field):
+        raise InvalidBaseError(f"{field.name} has no three distinct nonzero points")
+    points: list[SkewScalar] = []
     while len(points) < 3:
         candidate = field.random_nonzero(rng)
         if all(candidate != existing for existing in points):
@@ -309,7 +317,7 @@ def exhaustive_arguments(field: ScalarField, base: CrossRatioBase,
     return _valid_arguments(base, field.elements(), None, exclude_zero_point)
 
 
-def _valid_arguments(base: CrossRatioBase, candidates, count: Optional[int],
+def _valid_arguments(base: CrossRatioBase, candidates, count: int | None,
                      exclude_zero_point: bool) -> SampleSet:
     """The first ``count`` (None: all) candidates other than the singular
     point and, where values are inverted, the zero point, with the number
@@ -317,7 +325,7 @@ def _valid_arguments(base: CrossRatioBase, candidates, count: Optional[int],
     excluded = [base._singular]
     if exclude_zero_point:
         excluded.append(base._zero)
-    values: List[SkewScalar] = []
+    values: list[SkewScalar] = []
     rejections = 0
     for candidate in candidates:
         if count is not None and len(values) >= count:
@@ -341,8 +349,8 @@ class IdentityResult(Record):
     __hash__ = None
 
     def __init__(self, name: str, samples: int, rejections: int, passed: bool,
-                 counterexample: Optional[str] = None, informational: bool = False,
-                 note: Optional[str] = None):
+                 counterexample: str | None = None, informational: bool = False,
+                 note: str | None = None):
         self.name = name
         self.samples = samples
         self.rejections = rejections
@@ -367,7 +375,7 @@ class VerificationReport(Record):
     __slots__ = ("title", "results")
     __hash__ = None
 
-    def __init__(self, title: str, results: Optional[List[IdentityResult]] = None):
+    def __init__(self, title: str, results: list[IdentityResult] | None = None):
         self.title = title
         self.results = [] if results is None else results
 
@@ -375,17 +383,17 @@ class VerificationReport(Record):
     def passed(self) -> bool:
         return all(r.passed for r in self.results if not r.informational)
 
-    def lines(self) -> List[str]:
+    def lines(self) -> list[str]:
         return [f"[{self.title}]"] + [r.line() for r in self.results]
 
 
-def _shifted(row: List[SkewScalar], k: int) -> List[SkewScalar]:
+def _shifted(row: list[SkewScalar], k: int) -> list[SkewScalar]:
     """row[i + k] at index i, cyclically, for k = 1 or 2 and any length."""
     return row[k:] + row[:k]
 
 
 def _map_row(base: CrossRatioBase, samples: SampleSet,
-             anchor: Optional[SkewScalar] = None):
+             anchor: SkewScalar | None = None):
     """The map values in sample order, once per distinct argument, from the
     base's constants, and at ``anchor`` (the zero or unit point, also where
     sampled) by ``evaluate``, so the neutral-element checks test the
@@ -399,7 +407,7 @@ def _map_row(base: CrossRatioBase, samples: SampleSet,
 
 def _check(report: VerificationReport, name: str, samples: SampleSet, width: int,
            holds: Callable[[int], bool],
-           anchor: Optional[Tuple[str, SkewScalar]] = None) -> None:
+           anchor: tuple[str, SkewScalar] | None = None) -> None:
     """Record whether holds(i) at every sample index i; a failure names the
     ``width`` arguments from the first failing index on, cyclically, then
     the ``anchor`` (label, point), if any.  Only a failure is formatted."""
@@ -502,7 +510,7 @@ ATTAINED = "attained"
 NOT_ATTAINED = "not attained"
 
 
-def omitted_value(base: CrossRatioBase) -> Optional[SkewScalar]:
+def omitted_value(base: CrossRatioBase) -> SkewScalar | None:
     """The one value the map never takes (table in the module docstring).
 
     Families B, C and D omit omega of their normal form
@@ -584,7 +592,7 @@ def _witness_family_a(base: CrossRatioBase, w: SkewScalar) -> SkewScalar:
 
 
 def _record_closure(report: VerificationReport, name: str, base: CrossRatioBase,
-                    samples: SampleSet, combined: List[SkewScalar]) -> None:
+                    samples: SampleSet, combined: list[SkewScalar]) -> None:
     hits = sum(map(_attainment(base), combined))
     count = len(samples.values)
     # every value is decided; "undecided 0" keeps the note's parsed form

@@ -36,14 +36,12 @@ with ``_point`` from two draws of one field.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .errors import CoincidentPointsError, IdenticalLinesError, ParallelLinesError
 from .scalars import Immutable, Record, SkewScalar, ensure_same_backend
 
 _new = object.__new__
 
-Direction = Tuple[SkewScalar, SkewScalar]
+Direction = tuple[SkewScalar, SkewScalar]
 
 
 class PlanePoint(Immutable, Record):

@@ -15,7 +15,7 @@ integers embed canonically in any skew field), and scalars from different
 backends never mix: any cross-backend operation raises
 :class:`BackendMismatchError`.  A backend supplies only its arithmetic,
 ``_from_int`` and its storage: one tuple of ints, ``_v``, which is its
-canonical key, read by ``==`` and ``hash`` and returned by ``_key``.
+canonical key, read by ``==`` and ``hash``.
 
 ``==`` embeds an ``int``, but no scalar hashes like the embedded ``int``
 (for GF(p) no hash could agree with every int of a residue class), so
@@ -46,16 +46,15 @@ from __future__ import annotations
 
 import math
 import sys
-from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Iterator, Union
+from collections.abc import Iterator
 
 from .errors import BackendMismatchError, UsageError, ZeroInverseError
 
-# only type checkers read the import: at run time nothing imports fractions
+#: False at run time, so nothing imports ``fractions``; type checkers take
+#: this name as true and read the import.
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # pragma: no cover
     from fractions import Fraction
-
-RationalLike = Union[int, "Fraction"]
 
 _new = object.__new__
 _gcd = math.gcd
@@ -153,46 +152,21 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class SkewScalar(Immutable, ABC):
+class SkewScalar(Immutable):
     """An element of the active skew field.
 
-    A backend stores its canonical key in the one slot ``_v`` and
-    implements ``+``, ``-``, unary ``-``, ``*``, ``inverse``, ``is_zero``
-    and ``_from_int``; this class derives the reflected operators,
-    ``_key``, ``==`` and ``hash`` over ``_v``, an identity ``conjugate``,
-    and ``_coerce``, the one operand rule, which embeds ints by
-    ``_from_int``.
+    A backend stores its canonical key in the one slot ``_v``, so two
+    values are equal iff their keys are, and implements ``+``, ``-``,
+    unary ``-``, ``*``, ``inverse`` (the two-sided multiplicative inverse,
+    raising ZeroInverseError on 0), ``is_zero`` and ``_from_int`` (the int
+    ``n``, or a bool, embedded in the value's backend); this class derives
+    the reflected operators, ``==`` and ``hash`` over ``_v``, an identity
+    ``conjugate``, and ``_coerce``, the one operand rule, which embeds
+    ints by ``_from_int``.
     Multiplication is NOT assumed commutative anywhere.
     """
 
     __slots__ = ()
-
-    @abstractmethod
-    def __add__(self, other): ...
-
-    @abstractmethod
-    def __sub__(self, other): ...
-
-    @abstractmethod
-    def __neg__(self): ...
-
-    @abstractmethod
-    def __mul__(self, other): ...
-
-    @abstractmethod
-    def inverse(self):
-        """Two-sided multiplicative inverse; raises ZeroInverseError on 0."""
-
-    @abstractmethod
-    def is_zero(self) -> bool: ...
-
-    def _key(self):
-        """The canonical form ``_v``: two values are equal iff their keys are."""
-        return self._v
-
-    @abstractmethod
-    def _from_int(self, n: int):
-        """The int ``n`` (or a bool) embedded in this value's backend."""
 
     def conjugate(self):
         """The standard involution: quaternion conjugation, identity on
@@ -251,7 +225,7 @@ class Rational(SkewScalar):
 
     __slots__ = ("_v",)
 
-    def __new__(cls, numerator: RationalLike = 0, denominator: RationalLike = 1):
+    def __new__(cls, numerator: int | Fraction = 0, denominator: int | Fraction = 1):
         out = _new(cls)
         _set_rational(out, _ratio(numerator, denominator))
         return out
@@ -480,8 +454,8 @@ class RationalQuaternion(SkewScalar):
 
     __slots__ = ("_v",)
 
-    def __init__(self, w: RationalLike = 0, x: RationalLike = 0,
-                 y: RationalLike = 0, z: RationalLike = 0):
+    def __init__(self, w: int | Fraction = 0, x: int | Fraction = 0,
+                 y: int | Fraction = 0, z: int | Fraction = 0):
         parts = [_ratio(c) for c in (w, x, y, z)]
         # reduced components: the lcm of their denominators is already canonical
         d = math.lcm(*(q for _, q in parts))
@@ -587,7 +561,7 @@ def ensure_same_backend(first: SkewScalar, *rest: SkewScalar) -> None:
     callers store the values as they are), and BackendMismatchError unless
     all share one backend."""
     for value in (first, *rest):
-        if SkewScalar not in type(value).__mro__:  # isinstance would ask the slower ABC
+        if not isinstance(value, SkewScalar):
             raise TypeError(f"expected a scalar, got {type(value).__name__}")
     for other in rest:
         first._coerce(other)
@@ -632,36 +606,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class ScalarField(ABC):
+class ScalarField:
     """A skew-field backend: a factory plus backend-level metadata.
 
     The backend is chosen once per plane (a construction-time parameter),
-    never per value; everything downstream inherits it.
+    never per value; everything downstream inherits it.  A backend
+    implements ``from_int``, the int embedded in the field, and
+    ``random_element``, a small random element drawn from the explicit
+    ``rng``.  Each backend reads ``rng.getrandbits`` as
+    ``random.Random.randint`` and ``randrange`` do, k = n.bit_length()
+    bits for a value below n, drawn again while n or more, so a seed gives
+    the values and the generator state those formulas give.  A subclass of
+    ``Random`` that overrides only ``random()`` has its ``randint`` read
+    ``random()``; its draws are valid values, but not those of its
+    ``randint``.
     """
 
     #: True when the backend has finitely many elements.
     finite: bool = False
     name: str = ""
 
-    @abstractmethod
-    def from_int(self, n: int) -> SkewScalar: ...
-
     def zero(self) -> SkewScalar:
         return self.from_int(0)
 
     def one(self) -> SkewScalar:
         return self.from_int(1)
-
-    @abstractmethod
-    def random_element(self, rng) -> SkewScalar:
-        """A small random element, drawn from the explicit ``rng``.
-
-        Each backend reads ``rng.getrandbits`` as ``random.Random.randint``
-        and ``randrange`` do, k = n.bit_length() bits for a value below n,
-        drawn again while n or more, so a seed gives the values and the
-        generator state those formulas give.  A subclass of ``Random`` that
-        overrides only ``random()`` has its ``randint`` read ``random()``;
-        its draws are valid values, but not those of its ``randint``."""
 
     def random_nonzero(self, rng) -> SkewScalar:
         value = self.random_element(rng)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import List, Optional
 
 from .constructions import (
     CONCURRENT,
@@ -59,7 +58,7 @@ class SuiteResult(Record):
         return f"{self.name}: {status} ({self.detail})"
 
 
-def _backends() -> List[ScalarField]:
+def _backends() -> list[ScalarField]:
     return [RationalField(), PrimeField(5), QuaternionField()]
 
 
@@ -67,7 +66,7 @@ def _backends() -> List[ScalarField]:
 # skew-field laws
 
 
-def field_law_failure(field: ScalarField, triples) -> Optional[str]:
+def field_law_failure(field: ScalarField, triples) -> str | None:
     """First triple violating any skew-field law, or None."""
     zero, one = field.zero(), field.one()
     for a, b, c in triples:
@@ -116,7 +115,7 @@ def _random_triples(field: ScalarField, rng: random.Random, count: int):
 # plane axioms on small finite planes
 
 
-def _finite_points(field: PrimeField) -> List[PlanePoint]:
+def _finite_points(field: PrimeField) -> list[PlanePoint]:
     values = list(field.elements())
     return [PlanePoint(x, y) for x in values for y in values]
 
@@ -131,7 +130,7 @@ def _finite_lines(field: PrimeField):
     return sorted(lines, key=str), points
 
 
-def plane_axiom_failure(field: PrimeField) -> Optional[str]:
+def plane_axiom_failure(field: PrimeField) -> str | None:
     """First affine-axiom violation over the finite plane, or None."""
     lines, points = _finite_lines(field)
     expected = field.p * field.p + field.p
@@ -178,7 +177,7 @@ AUX_PER_CASE = 3
 
 
 def construction_oracle_failure(field: ScalarField, rng: random.Random,
-                                count: int) -> Optional[str]:
+                                count: int) -> str | None:
     """Geometric add/mul vs. backend arithmetic on random operand pairs."""
     frame = LineFrame.canonical(field)
     for _ in range(count):
@@ -201,7 +200,7 @@ def construction_oracle_failure(field: ScalarField, rng: random.Random,
 
 
 def desargues_failure(field: ScalarField, rng: random.Random,
-                      count: int) -> Optional[str]:
+                      count: int) -> str | None:
     """First generated configuration, ``count`` per variant, whose
     conclusion fails the checker, or None."""
     for variant in (PARALLEL, CONCURRENT):
@@ -213,7 +212,7 @@ def desargues_failure(field: ScalarField, rng: random.Random,
 
 
 def map_theorem_failure(field: ScalarField, rng: random.Random,
-                        count: int) -> Optional[str]:
+                        count: int) -> str | None:
     """Heading of the first failing report, addition structure, group or
     distributivity, on one random base per family, or None."""
     for family in Family:
@@ -229,7 +228,7 @@ def map_theorem_failure(field: ScalarField, rng: random.Random,
     return None
 
 
-def round_trip_failure(rng: random.Random, count: int) -> Optional[str]:
+def round_trip_failure(rng: random.Random, count: int) -> str | None:
     """First random expression, ``count`` per backend, that does not parse
     back from its printed form to itself, or None."""
     for field in _backends():
@@ -286,6 +285,6 @@ def _suites(rng: random.Random, count: int):
            f"{count} random expressions per backend")
 
 
-def run_selftest(seed: int = 0, count: int = 50) -> List[SuiteResult]:
+def run_selftest(seed: int = 0, count: int = 50) -> list[SuiteResult]:
     return [SuiteResult(name, failure is None, failure or detail)
             for name, failure, detail in _suites(random.Random(seed), count)]

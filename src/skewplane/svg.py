@@ -15,7 +15,6 @@ a viewport autoscaled to the bounding box of the labeled points plus a
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
 
 from .constructions import ConstructionTrace
 from .errors import UnsupportedBackendError, UsageError
@@ -41,7 +40,7 @@ def _as_float(scalar) -> float:
                          "range (magnitude below about 1.8e308)") from None
 
 
-def _point_xy(point: PlanePoint) -> Tuple[float, float]:
+def _point_xy(point: PlanePoint) -> tuple[float, float]:
     return (_as_float(point.x), _as_float(point.y))
 
 
@@ -49,7 +48,7 @@ def _clip_line(line: PlaneLine, x0: float, y0: float, x1: float, y1: float):
     """The two extreme intersections of an infinite line with the box."""
     bx, by = _point_xy(line.base)
     dx, dy = _as_float(line.direction[0]), _as_float(line.direction[1])
-    hits: List[Tuple[float, float, float]] = []
+    hits: list[tuple[float, float, float]] = []
     if abs(dx) > _EPS:
         for x_edge in (x0, x1):
             t = (x_edge - bx) / dx
@@ -96,7 +95,7 @@ def render_construction(trace: ConstructionTrace) -> str:
     offset_x = (CANVAS_W - (x_max - x_min) * scale) / 2.0
     offset_y = (CANVAS_H - (y_max - y_min) * scale) / 2.0
 
-    def to_canvas(x: float, y: float) -> Tuple[float, float]:
+    def to_canvas(x: float, y: float) -> tuple[float, float]:
         # SVG's y axis points down; flip so the drawing reads math-side up.
         return (offset_x + (x - x_min) * scale,
                 CANVAS_H - offset_y - (y - y_min) * scale)

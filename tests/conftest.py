@@ -53,6 +53,21 @@ def fractions_of(q):
     return tuple(Fraction(c.numerator, c.denominator) for c in parts)
 
 
+class BoundedRandom(random.Random):
+    """A ``Random`` of the same stream that raises after ``limit``
+    ``getrandbits`` calls, so a draw loop that never ends fails, not hangs."""
+
+    def __init__(self, seed, limit=10_000):
+        super().__init__(seed)
+        self.calls, self.limit = 0, limit
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise RuntimeError(f"more than {self.limit} getrandbits calls")
+        return super().getrandbits(k)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -668,7 +668,7 @@ class TestStartup:
         pulls in is paid on every call; ``-S`` keeps site's imports out.
         Neither does printing a quaternion, reading its components or
         formatting an error that shows one load ``fractions`` (which
-        brings ``decimal``)."""
+        brings ``decimal``), and annotations import nothing from ``typing``."""
         script = "\n".join((
             "import sys; sys.path.insert(0, sys.argv[1]); import skewplane.cli",
             "from skewplane.errors import BackendMismatchError",
@@ -677,7 +677,7 @@ class TestStartup:
             "print(repr(q), str(q), q.components())",
             "try: Rational(1) + q",
             "except BackendMismatchError as exc: print(exc)",
-            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'}"
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'typing'}"
             " & set(sys.modules)))"))
         out = subprocess.run([sys.executable, "-S", "-c", script, str(SRC)],
                              capture_output=True, text=True, check=True).stdout

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import BoundedRandom
 from skewplane.errors import (
     ExpressionSyntaxError,
     SingularCrossRatioError,
@@ -258,6 +259,15 @@ class TestRoundTrip:
             node = random_expression(field, rng)
             text = print_expression(node)
             assert parse_expression(text, field) == node, text
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_fields_without_a_base_draw_no_map(self, p):
+        """A map node on GF(2) or GF(3) would draw base points forever."""
+        field, rng = PrimeField(p), BoundedRandom(0)
+        for _ in range(200):
+            node = random_expression(field, rng)
+            text = print_expression(node)
+            assert "map(" not in text and parse_expression(text, field) == node
 
     def test_negative_literal_round_trip(self):
         node = Literal(Rational(-2, 3))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import fractions_of, nonzero_quaternions, quaternions, rationals
+from conftest import BoundedRandom, fractions_of, nonzero_quaternions, quaternions, rationals
 
 import skewplane.maps as maps_module
 from skewplane.errors import (
@@ -555,6 +555,14 @@ class TestSampling:
         assert all(v != zero_point(base) for v in samples.values)
         assert samples.rejections > 0  # 2 of 5 residues are excluded
         assert sample_arguments(gf5, base, 0, seed=3) == SampleSet(())
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_random_points_refuse_a_field_without_a_base(self, p):
+        """GF(2) and GF(3) have fewer than three nonzero elements, so the
+        draw would never end."""
+        with pytest.raises(InvalidBaseError,
+                           match=rf"^gfp\({p}\) has no three distinct nonzero points$"):
+            maps_module._random_points(PrimeField(p), BoundedRandom(0))
 
     def test_exhaustive_arguments_gf5(self, gf5):
         base = CrossRatioBase(Family.D, tuple(gf5.from_int(n) for n in (1, 2, 4)))

@@ -11,9 +11,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import BoundedRandom
 from skewplane import selftest
 from skewplane.cli import main
-from skewplane.errors import ParallelLinesError
+from skewplane.errors import InvalidBaseError, ParallelLinesError
 from skewplane.scalars import PrimeField, PrimeFieldElement, RationalField
 
 
@@ -139,6 +140,11 @@ def test_map_theorem_failure_names_the_failing_report(monkeypatch):
     monkeypatch.setattr(selftest, "verify_distributive", lambda base, samples: failing)
     failure = selftest.map_theorem_failure(PrimeField(5), selftest.random.Random(1), 3)
     assert failure == "[poisoned]"
+
+
+def test_map_theorem_failure_refuses_a_field_without_a_base():
+    with pytest.raises(InvalidBaseError, match=r"^gfp\(3\) has no three"):
+        selftest.map_theorem_failure(PrimeField(3), BoundedRandom(0), 3)
 
 
 def test_round_trip_failure_names_the_expression(monkeypatch):
